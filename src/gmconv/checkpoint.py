@@ -19,6 +19,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -133,35 +134,65 @@ def load_checkpoint(path: str) -> Checkpoint:
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise DataError(f"{path}: malformed checkpoint header: {err}") from err
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header must be a JSON object")
     if header.get("format") != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint format {header.get('format')!r}")
+    if not _is_count(header.get("epoch")):
+        raise DataError(f"{path}: checkpoint epoch must be a non-negative integer")
+    for key, kind in (("rng_state", dict), ("spec", dict), ("tensors", list)):
+        if not isinstance(header.get(key), kind):
+            raise DataError(f"{path}: checkpoint header needs {key!r} as a JSON {kind.__name__}")
+    try:
+        np.random.PCG64(0).state = header["rng_state"]
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise DataError(f"{path}: rng_state is not a PCG64 generator state: {err}") from err
 
     payload = raw[8 + header_len :]
-    expected = sum(
-        8 * int(np.prod(rec["shape"], dtype=np.int64)) for rec in header["tensors"]
-    )
+    params: dict[str, np.ndarray] = {}
+    momentum: dict[str, np.ndarray] = {}
+    expected = 0
+    for i, rec in enumerate(header["tensors"]):
+        if not (
+            isinstance(rec, dict)
+            and isinstance(rec.get("name"), str)
+            and isinstance(rec.get("shape"), list)
+            and all(_is_count(d) for d in rec["shape"])
+            and _is_count(rec.get("offset"))
+        ):
+            raise DataError(
+                f"{path}: tensor record {i} needs a string name, a shape of "
+                f"non-negative integers and a non-negative integer offset"
+            )
+        count = math.prod(rec["shape"])
+        end = rec["offset"] + 8 * count
+        if end > len(payload):
+            raise DataError(
+                f"{path}: tensor {rec['name']!r} ends at byte {end} of a "
+                f"{len(payload)}-byte payload"
+            )
+        expected += 8 * count
+        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=rec["offset"])
+        arr = np.array(arr.reshape(rec["shape"]), dtype=np.float64)
+        kind, _, name = rec["name"].partition(":")
+        target = {"param": params, "momentum": momentum}.get(kind)
+        if target is None:
+            raise DataError(f"{path}: unknown tensor namespace in {rec['name']!r}")
+        if name in target:
+            raise DataError(f"{path}: tensor {rec['name']!r} is listed twice")
+        target[name] = arr
     if len(payload) != expected:
         raise DataError(
             f"{path}: tensor payload has {len(payload)} bytes, index expects {expected}"
         )
 
-    params: dict[str, np.ndarray] = {}
-    momentum: dict[str, np.ndarray] = {}
-    for rec in header["tensors"]:
-        shape = tuple(int(s) for s in rec["shape"])
-        count = int(np.prod(shape, dtype=np.int64))
-        arr = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=int(rec["offset"])
-        ).reshape(shape)
-        arr = np.array(arr, dtype=np.float64)
-        full_name = rec["name"]
-        kind, _, name = full_name.partition(":")
-        if kind == "param":
-            params[name] = arr
-        elif kind == "momentum":
-            momentum[name] = arr
-        else:
-            raise DataError(f"{path}: unknown tensor namespace in {full_name!r}")
+    try:
+        spec = spec_from_json(json.dumps(header["spec"]))
+    except (TypeError, ValueError) as err:
+        raise DataError(f"{path}: invalid model spec: {err}") from err
+    return Checkpoint(spec, params, momentum, header["epoch"], header["rng_state"])
 
-    spec = spec_from_json(json.dumps(header["spec"]))
-    return Checkpoint(spec, params, momentum, int(header["epoch"]), header["rng_state"])
+
+def _is_count(value) -> bool:
+    """A non-negative JSON integer (JSON booleans excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0

@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fold", help="fold static masks into weights, write a new checkpoint")
     f.add_argument("--ckpt", required=True)
     f.add_argument("--out", required=True)
-    f.add_argument("--seed", type=int, default=0, help="unused, accepted for uniformity")
     f.set_defaults(func=cmd_fold)
 
     r = sub.add_parser("erf", help="estimate an effective receptive field map")
@@ -67,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("mask-dump", help="write every masked layer's current mask grid")
     d.add_argument("--ckpt", required=True)
     d.add_argument("--out", required=True, help="output directory")
-    d.add_argument("--seed", type=int, default=0, help="unused, accepted for uniformity")
     d.set_defaults(func=cmd_mask_dump)
 
     g = sub.add_parser("mask-gen", help="generate a mask grid from sigma values")
@@ -76,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second axis width; makes the mask elliptic")
     g.add_argument("--k", type=int, required=True, help="kernel size")
     g.add_argument("--out", default="", help="output file (.csv or .pgm); default stdout CSV")
-    g.add_argument("--seed", type=int, default=0, help="unused, accepted for uniformity")
     g.set_defaults(func=cmd_mask_gen)
 
     return parser

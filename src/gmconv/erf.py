@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import masks
-from .layers import DynamicGMConvLayer, StaticGMConvLayer
+from .layers import StaticGMConvLayer
 from .tensor import GradTape, Tensor
 
 
@@ -128,39 +128,26 @@ def dump_layer_masks(model, out_dir: str) -> dict:
     entries = []
     for name, layer in model.masked_layer_items():
         k = layer.kernel_size
+        entry = {"layer": name, "kernel_size": k, "csv": f"{name}.csv", "pgm": f"{name}.pgm"}
         if isinstance(layer, StaticGMConvLayer):
             raw = float(layer.sigma.data)
             mask = layer.current_mask()
-            entry = {
-                "layer": name,
-                "kind": "static",
-                "kernel_size": k,
-                "sigma_raw": raw,
-                "sigma_effective": masks.clamp_sigma(raw),
-            }
-        elif isinstance(layer, DynamicGMConvLayer):
+            entry.update(kind="static", sigma_raw=raw, sigma_effective=masks.clamp_sigma(raw))
+        else:
             mod = layer.sigma_module
             zero = Tensor(np.zeros((1, mod.in_channels, 1, 1)))
             s1, s2 = mod.predict(zero)
             sig1, sig2 = float(s1.data[0]), float(s2.data[0])
             mask = masks.elliptic_mask(sig1, sig2, k)
-            entry = {
-                "layer": name,
-                "kind": "dynamic",
-                "kernel_size": k,
-                "pattern": mod.pattern,
-                "hidden_width": mod.hidden,
-                "sigma1_zero_input": sig1,
-                "sigma2_zero_input": sig2,
-            }
-        else:  # pragma: no cover - masked_layer_items only yields the above
-            continue
-        csv_name = f"{name}.csv"
-        pgm_name = f"{name}.pgm"
-        masks.export_mask(mask, os.path.join(out_dir, csv_name), "csv")
-        masks.export_mask(mask, os.path.join(out_dir, pgm_name), "pgm")
-        entry["csv"] = csv_name
-        entry["pgm"] = pgm_name
+            entry.update(
+                kind="dynamic",
+                pattern=mod.pattern,
+                hidden_width=mod.hidden,
+                sigma1_zero_input=sig1,
+                sigma2_zero_input=sig2,
+            )
+        masks.export_mask(mask, os.path.join(out_dir, entry["csv"]), "csv")
+        masks.export_mask(mask, os.path.join(out_dir, entry["pgm"]), "pgm")
         entries.append(entry)
     manifest = {"model": model.spec.name, "layers": entries}
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:

@@ -50,24 +50,19 @@ def softplus_inverse(y: float) -> float:
     return float(np.log(np.expm1(y)))
 
 
-def _check_conv_params(weight: Tensor, bias: Tensor, stride: int, padding: int) -> None:
-    if weight.data.ndim != 4 or weight.data.shape[2] != weight.data.shape[3]:
-        raise ValueError(f"weight must be O x C x K x K, got {weight.data.shape}")
-    if bias.data.shape != (weight.data.shape[0],):
-        raise ValueError(
-            f"bias shape {bias.data.shape} does not match {weight.data.shape[0]} filters"
-        )
-    if stride < 1 or padding < 0:
-        raise ValueError(f"bad geometry: stride={stride}, padding={padding}")
-
-
-class Conv2dLayer:
-    """Ordinary convolution; also the result of folding a static layer."""
-
-    kind = "conv"
+class _ConvLayer:
+    """What every conv layer holds: an O x C x K x K weight, a bias per
+    filter, stride and padding."""
 
     def __init__(self, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0):
-        _check_conv_params(weight, bias, stride, padding)
+        if weight.data.ndim != 4 or weight.data.shape[2] != weight.data.shape[3]:
+            raise ValueError(f"weight must be O x C x K x K, got {weight.data.shape}")
+        if bias.data.shape != (weight.data.shape[0],):
+            raise ValueError(
+                f"bias shape {bias.data.shape} does not match {weight.data.shape[0]} filters"
+            )
+        if stride < 1 or padding < 0:
+            raise ValueError(f"bad geometry: stride={stride}, padding={padding}")
         self.weight = weight
         self.bias = bias
         self.stride = stride
@@ -77,14 +72,17 @@ class Conv2dLayer:
     def kernel_size(self) -> int:
         return self.weight.data.shape[2]
 
-    def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.stride, self.padding, tape)
-
     def param_items(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def decay_param_names(self):
-        return ["weight"]
+
+class Conv2dLayer(_ConvLayer):
+    """Ordinary convolution; also the result of folding a static layer."""
+
+    kind = "conv"
+
+    def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding, tape)
 
 
 def _mask_scale(weight: Tensor, sigma: Tensor, tape: GradTape | None) -> Tensor:
@@ -147,7 +145,7 @@ def _per_sample_masked_weights(weight: Tensor, mb: Tensor, tape: GradTape | None
     return out
 
 
-class StaticGMConvLayer:
+class StaticGMConvLayer(_ConvLayer):
     """Convolution with a learnable circular Gaussian mask width.
 
     Adds exactly one parameter (sigma) on top of a plain convolution.
@@ -165,17 +163,9 @@ class StaticGMConvLayer:
         stride: int = 1,
         padding: int = 0,
     ):
-        _check_conv_params(weight, bias, stride, padding)
-        self.weight = weight
-        self.bias = bias
+        super().__init__(weight, bias, stride, padding)
         self.sigma = Tensor(np.float64(sigma), requires_grad=True, name="sigma")
-        self.stride = stride
-        self.padding = padding
         self.folded = False
-
-    @property
-    def kernel_size(self) -> int:
-        return self.weight.data.shape[2]
 
     def current_mask(self) -> masks.GaussianMask:
         return masks.circular_mask(float(self.sigma.data), self.kernel_size)
@@ -187,11 +177,7 @@ class StaticGMConvLayer:
         return conv2d(x, masked, self.bias, self.stride, self.padding, tape)
 
     def param_items(self):
-        return [("weight", self.weight), ("bias", self.bias), ("sigma", self.sigma)]
-
-    def decay_param_names(self):
-        # sigma is a geometric parameter, not a magnitude: never decayed
-        return ["weight"]
+        return super().param_items() + [("sigma", self.sigma)]
 
 
 def fold_mask(layer: StaticGMConvLayer) -> Conv2dLayer:
@@ -309,7 +295,7 @@ class DynamicSigmaModule:
         return [("w0", self.w0), ("w1", self.w1), ("b1", self.b1)]
 
 
-class DynamicGMConvLayer:
+class DynamicGMConvLayer(_ConvLayer):
     """Convolution whose elliptic mask is predicted per input sample."""
 
     kind = "gmconv-dynamic"
@@ -322,21 +308,13 @@ class DynamicGMConvLayer:
         stride: int = 1,
         padding: int = 0,
     ):
-        _check_conv_params(weight, bias, stride, padding)
+        super().__init__(weight, bias, stride, padding)
         if sigma_module.in_channels != weight.data.shape[1]:
             raise ValueError(
                 f"sigma module expects {sigma_module.in_channels} channels, "
                 f"weight has {weight.data.shape[1]}"
             )
-        self.weight = weight
-        self.bias = bias
         self.sigma_module = sigma_module
-        self.stride = stride
-        self.padding = padding
-
-    @property
-    def kernel_size(self) -> int:
-        return self.weight.data.shape[2]
 
     def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
         s1, s2 = self.sigma_module.predict(x, tape)
@@ -345,9 +323,5 @@ class DynamicGMConvLayer:
         return conv2d_per_sample(x, wb, self.bias, self.stride, self.padding, tape)
 
     def param_items(self):
-        items = [("weight", self.weight), ("bias", self.bias)]
-        items += [(f"sigma_module.{n}", t) for n, t in self.sigma_module.param_items()]
-        return items
-
-    def decay_param_names(self):
-        return ["weight"]
+        module = [(f"sigma_module.{n}", t) for n, t in self.sigma_module.param_items()]
+        return super().param_items() + module

@@ -6,20 +6,20 @@ largest cell value. Multiplying a convolution kernel by such a mask shrinks
 its effective footprint smoothly; the mask never zeroes a cell outright, so
 gradients keep flowing to every tap.
 
-Two families are provided:
-
-* circular: one sigma, isotropic, built from the Euclidean distance to the
-  kernel center. For odd K the center cell sits at distance 0 and the
-  normalized value there is exactly 1.
-* elliptic: independent horizontal (sigma1) and vertical (sigma2) widths.
-
-Both are computed in the exponent domain, i.e. exp(-(q - q_min) / 2) where
-q is the per-cell quadratic form, so the normalization never divides by a
-denormal even at the smallest admissible sigma.
+Every mask comes from one batched evaluator, ``_gaussian``: elliptic masks
+with per-sample horizontal (sigma1) and vertical (sigma2) widths and, on
+request, their derivatives in both widths. A circular mask is the elliptic
+one with sigma1 = sigma2, and a scalar call is a batch of one, so all paths
+agree bit for bit. Scalar functions reject non-finite widths with
+ValueError; the ``*_batch`` functions let NaN through, so a diverging run
+fails where its loss is checked. The evaluator works in the exponent
+domain, exp(-(q - q_min) / 2) with q the per-cell quadratic form, so the
+normalization never divides by a denormal even at the smallest sigma.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,17 +30,27 @@ SIGMA_MAX = 1e6
 _KINDS = ("circular", "elliptic")
 
 
+def _clamp(sigma: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(np.abs(sigma), SIGMA_MIN), SIGMA_MAX)
+
+
+def _one(sigma: float) -> np.ndarray:
+    """A scalar width as a batch of one; scalar entry points reject
+    non-finite widths."""
+    s = float(sigma)
+    if not math.isfinite(s):
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
+    return np.array([s])
+
+
 def clamp_sigma(sigma: float) -> float:
     """Clamp |sigma| into [SIGMA_MIN, SIGMA_MAX], boundaries included.
 
     The mask is an even function of sigma, so the sign is dropped before
     clamping. Gradients with respect to sigma are defined to be zero while
-    the clamp is active (see ``circular_grad``).
+    the clamp is active (see ``_gaussian``).
     """
-    s = abs(float(sigma))
-    if not np.isfinite(s):
-        raise ValueError(f"sigma must be finite, got {sigma!r}")
-    return min(max(s, SIGMA_MIN), SIGMA_MAX)
+    return float(_clamp(_one(sigma))[0])
 
 
 def _check_kernel_size(kernel_size: int) -> int:
@@ -76,94 +86,101 @@ class GaussianMask:
         return self.params.kernel_size
 
 
-def offset_grids(kernel_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (x, y) offsets of every cell from the kernel center.
-
-    x varies along columns (horizontal), y along rows (vertical). The center
-    is at (K-1)/2 in both axes, so offsets are half-integers when K is even.
-    """
+def _offsets(kernel_size: int) -> np.ndarray:
+    """1D cell offsets from the center at (K-1)/2; half-integers for even K."""
     k = _check_kernel_size(kernel_size)
-    c = (k - 1) / 2.0
-    idx = np.arange(k, dtype=np.float64)
-    y = (idx - c)[:, None] * np.ones((1, k))
-    x = np.ones((k, 1)) * (idx - c)[None, :]
+    return np.arange(k, dtype=np.float64) - (k - 1) / 2.0
+
+
+def offset_grids(kernel_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) offsets of every cell from the kernel center; x varies along
+    columns (horizontal), y along rows (vertical)."""
+    offsets = _offsets(kernel_size)
+    x, y = np.meshgrid(offsets, offsets)
     return x, y
 
 
-def _sq_dist(kernel_size: int) -> np.ndarray:
-    x, y = offset_grids(kernel_size)
-    return x * x + y * y
+def _gaussian(sigma1, sigma2, kernel_size: int, grad: bool = False):
+    """Masks of shape (N, K, K) for raw width vectors of shape (N,).
+
+    Cell (i, j) of mask n is exp(-(q - q_min) / 2) with
+    q = x_j^2 / s1_n^2 + y_i^2 / s2_n^2, s = clamp(|sigma|) and q_min the
+    sum of the per-axis minima, so the largest cell is 1. With ``grad``,
+    returns (M, dM/dsigma1, dM/dsigma2) at the raw sigma, so the sign
+    carries through (M is even in sigma); the slope is zero wherever the
+    clamp is active, boundaries included, so a clamped width stays put.
+    """
+    raw1 = np.asarray(sigma1, dtype=np.float64)
+    raw2 = np.asarray(sigma2, dtype=np.float64)
+    if raw1.shape != raw2.shape or raw1.ndim != 1:
+        raise ValueError("sigma arrays must be 1D and the same length")
+    offsets = _offsets(kernel_size)
+    qx = offsets / np.square(_clamp(raw1))[:, None] * offsets
+    qy = offsets / np.square(_clamp(raw2))[:, None] * offsets
+    qx_min = qx.min(axis=1)[:, None, None]
+    qy_min = qy.min(axis=1)[:, None, None]
+    m = qx[:, None, :] + qy[:, :, None]
+    m -= qx_min
+    m -= qy_min
+    m *= -0.5
+    np.exp(m, out=m)
+    if not grad:
+        return m
+
+    sq = offsets * offsets
+    sq -= sq.min()
+
+    def slope(raw, sq_axis):
+        size = np.abs(raw)
+        active = (size > SIGMA_MIN) & (size < SIGMA_MAX)
+        g = m * sq_axis / (np.where(active, raw, 1.0) ** 3)[:, None, None]
+        g[~active] = 0.0
+        return g
+
+    return m, slope(raw1, sq[None, None, :]), slope(raw2, sq[None, :, None])
 
 
 def circular_values(sigma: float, kernel_size: int) -> np.ndarray:
-    """Max-normalized isotropic Gaussian mask values, shape (K, K).
-
-    Equal to exp(-(d^2 - d_min^2) / (2 s^2)) where d is the Euclidean
-    distance of a cell from the kernel center, d_min the smallest such
-    distance on the grid (0 for odd K), and s the clamped sigma. The 1D
-    Gaussian's prefactor cancels in the normalization, so it never appears.
-    """
-    s = clamp_sigma(sigma)
-    d2 = _sq_dist(kernel_size)
-    return np.exp(-(d2 - d2.min()) / (2.0 * s * s))
+    """Isotropic mask, shape (K, K): exp(-(d^2 - d_min^2) / (2 s^2)) with d
+    a cell's distance from the center and s the clamped sigma."""
+    s = _one(sigma)
+    return _gaussian(s, s, kernel_size)[0]
 
 
 def circular_grad_values(sigma: float, kernel_size: int) -> np.ndarray:
-    """d(mask)/d(sigma) for the circular mask, shape (K, K).
-
-    Exact for the shipped normalized form: M * (d^2 - d_min^2) / s^3,
-    which reduces to M * d^2 / s^3 for odd K. The convention at the clamp
-    is closed gating: the derivative is zero everywhere once |sigma| sits
-    at or beyond either boundary, so a clamped width stays put. Inside the
-    open interval the sign of sigma carries through via s^3.
-    """
-    raw = float(sigma)
-    s = abs(raw)
-    if s <= SIGMA_MIN or s >= SIGMA_MAX:
-        k = _check_kernel_size(kernel_size)
-        return np.zeros((k, k))
-    d2 = _sq_dist(kernel_size)
-    m = np.exp(-(d2 - d2.min()) / (2.0 * s * s))
-    # sign(sigma) via raw**3: mask(sigma) is even, so its slope is odd.
-    return m * (d2 - d2.min()) / (raw * raw * raw)
+    """d(mask)/d(sigma) for the circular mask, shape (K, K)."""
+    s = _one(sigma)
+    _, g1, g2 = _gaussian(s, s, kernel_size, grad=True)
+    return g1[0] + g2[0]
 
 
 def elliptic_values(sigma1: float, sigma2: float, kernel_size: int) -> np.ndarray:
-    """Max-normalized anisotropic Gaussian mask values, shape (K, K).
-
-    sigma1 controls the horizontal width (the x offset, along columns) and
-    sigma2 the vertical width (the y offset, along rows). Normalization
-    subtracts the per-axis minimum quadratic term in the exponent; on a
-    Cartesian grid that equals dividing by the true maximum cell value.
-    """
-    s1 = clamp_sigma(sigma1)
-    s2 = clamp_sigma(sigma2)
-    x, y = offset_grids(kernel_size)
-    qx = x * x / (s1 * s1)
-    qy = y * y / (s2 * s2)
-    q = qx + qy
-    return np.exp(-0.5 * (q - (qx.min() + qy.min())))
+    """Anisotropic mask, shape (K, K): sigma1 is the width along columns
+    (the x offset), sigma2 the width along rows (the y offset)."""
+    return _gaussian(_one(sigma1), _one(sigma2), kernel_size)[0]
 
 
 def elliptic_grad_values(
     sigma1: float, sigma2: float, kernel_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(d(mask)/d(sigma1), d(mask)/d(sigma2)) for the elliptic mask.
+    """(d(mask)/d(sigma1), d(mask)/d(sigma2)) for the elliptic mask."""
+    _, g1, g2 = _gaussian(_one(sigma1), _one(sigma2), kernel_size, grad=True)
+    return g1[0], g2[0]
 
-    Same clamp-gates-gradient rule as the circular case, applied per axis.
-    """
-    k = _check_kernel_size(kernel_size)
-    m = elliptic_values(sigma1, sigma2, kernel_size)
-    x, y = offset_grids(k)
-    out = []
-    for raw, offs in ((float(sigma1), x), (float(sigma2), y)):
-        s = abs(raw)
-        if s <= SIGMA_MIN or s >= SIGMA_MAX:
-            out.append(np.zeros((k, k)))
-            continue
-        o2 = offs * offs
-        out.append(m * (o2 - o2.min()) / (raw * raw * raw))
-    return out[0], out[1]
+
+def elliptic_values_batch(
+    sigma1: np.ndarray, sigma2: np.ndarray, kernel_size: int
+) -> np.ndarray:
+    """Elliptic masks for equal-length 1D width arrays, shape (N, K, K)."""
+    return _gaussian(sigma1, sigma2, kernel_size)
+
+
+def elliptic_grad_batch(
+    sigma1: np.ndarray, sigma2: np.ndarray, kernel_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample (dM/dsigma1, dM/dsigma2), each shape (N, K, K)."""
+    _, g1, g2 = _gaussian(sigma1, sigma2, kernel_size, grad=True)
+    return g1, g2
 
 
 def circular_mask(sigma: float, kernel_size: int) -> GaussianMask:
@@ -181,46 +198,6 @@ def elliptic_mask(sigma1: float, sigma2: float, kernel_size: int) -> GaussianMas
     vals = elliptic_values(sigma1, sigma2, kernel_size)
     params = MaskParams("elliptic", s1, s2, _check_kernel_size(kernel_size))
     return GaussianMask(vals, params)
-
-
-def elliptic_values_batch(
-    sigma1: np.ndarray, sigma2: np.ndarray, kernel_size: int
-) -> np.ndarray:
-    """Vectorized elliptic masks for per-sample sigmas, shape (N, K, K).
-
-    Inputs are 1D arrays of equal length; each sigma is clamped elementwise
-    exactly as in the scalar path.
-    """
-    s1 = np.clip(np.abs(np.asarray(sigma1, dtype=np.float64)), SIGMA_MIN, SIGMA_MAX)
-    s2 = np.clip(np.abs(np.asarray(sigma2, dtype=np.float64)), SIGMA_MIN, SIGMA_MAX)
-    if s1.shape != s2.shape or s1.ndim != 1:
-        raise ValueError("sigma arrays must be 1D and the same length")
-    x, y = offset_grids(kernel_size)
-    qx = x[None] / (s1[:, None, None] ** 2) * x[None]
-    qy = y[None] / (s2[:, None, None] ** 2) * y[None]
-    qx_min = qx.min(axis=(1, 2), keepdims=True)
-    qy_min = qy.min(axis=(1, 2), keepdims=True)
-    return np.exp(-0.5 * (qx + qy - qx_min - qy_min))
-
-
-def elliptic_grad_batch(
-    sigma1: np.ndarray, sigma2: np.ndarray, kernel_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (dM/dsigma1, dM/dsigma2), each shape (N, K, K)."""
-    s1_raw = np.asarray(sigma1, dtype=np.float64)
-    s2_raw = np.asarray(sigma2, dtype=np.float64)
-    m = elliptic_values_batch(s1_raw, s2_raw, kernel_size)
-    x, y = offset_grids(kernel_size)
-    grads = []
-    for raw, offs in ((s1_raw, x), (s2_raw, y)):
-        o2 = offs * offs
-        centered = (o2 - o2.min())[None]
-        active = (np.abs(raw) > SIGMA_MIN) & (np.abs(raw) < SIGMA_MAX)
-        denom = np.where(active, raw, 1.0) ** 3
-        g = m * centered / denom[:, None, None]
-        g[~active] = 0.0
-        grads.append(g)
-    return grads[0], grads[1]
 
 
 def export_mask(mask: GaussianMask, path: str, fmt: str = "csv") -> None:

@@ -4,7 +4,14 @@ A ModelSpec is an ordered list of layer descriptors (conv variants, relu,
 global pool, dense, residual block) with stem/body/head role tags. Specs
 are pure values: they can be built by name, rewritten by a ConvPolicy
 (which decides where masked convolutions go), serialized to JSON, and
-instantiated into a runtime Model with He-initialized parameters.
+instantiated into a runtime Model with He-initialized parameters. One
+spec-level rewrite, ``_map_convs``, reaches every conv descriptor (block
+convs included) for both policy application and folding.
+
+A Model is a list of modules; a residual block names its two convs as
+children. ``Model._walk`` visits every module once, children after their
+block, and parameter naming, weight-decay selection, masked-layer listing
+and folding are all built on it.
 
 There is no batch normalization anywhere; He-style weight scales stand in
 for it so the op set stays small and every gradient stays checkable.
@@ -14,7 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -264,6 +272,17 @@ def _build_alexnet_lite(num_classes: int) -> ModelSpec:
 _MODE_TO_OP = {"std": "conv", "static": "gmconv-static", "dynamic": "gmconv-dynamic"}
 
 
+def _map_convs(spec: ModelSpec, fn) -> ModelSpec:
+    """Replace every conv descriptor, blocks included, by fn(descriptor)."""
+
+    def rewrite(layer: LayerSpec) -> LayerSpec:
+        if layer.op == "block":
+            return replace(layer, inner=tuple(rewrite(c) for c in layer.inner))
+        return fn(layer) if layer.op in CONV_OPS else layer
+
+    return replace(spec, layers=tuple(rewrite(l) for l in spec.layers))
+
+
 def apply_policy(spec: ModelSpec, policy: ConvPolicy) -> ModelSpec:
     """Rewrite every stem/body convolution per the policy; head untouched.
 
@@ -272,9 +291,7 @@ def apply_policy(spec: ModelSpec, policy: ConvPolicy) -> ModelSpec:
     """
 
     def rewrite(layer: LayerSpec) -> LayerSpec:
-        if layer.op == "block":
-            return replace(layer, inner=tuple(rewrite(c) for c in layer.inner))
-        if layer.op not in CONV_OPS or layer.role == "head":
+        if layer.role == "head":
             return layer
         mode = policy.stem_mode if layer.role == "stem" else policy.body_mode
         new_op = _MODE_TO_OP[mode]
@@ -287,7 +304,7 @@ def apply_policy(spec: ModelSpec, policy: ConvPolicy) -> ModelSpec:
             pattern=policy.pattern,
         )
 
-    return replace(spec, layers=tuple(rewrite(l) for l in spec.layers))
+    return _map_convs(spec, rewrite)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +326,19 @@ def _conv_params(layer: LayerSpec) -> int:
     return base
 
 
+def _unblocked(spec: ModelSpec):
+    """The spec's layers in execution order with each block replaced by its
+    two convs; its shortcut carries no parameters and no MACs."""
+    for layer in spec.layers:
+        yield from layer.inner if layer.op == "block" else (layer,)
+
+
 def count_params(spec: ModelSpec) -> int:
     """Exact learnable-parameter count of a spec."""
     total = 0
-    for layer in spec.layers:
+    for layer in _unblocked(spec):
         if layer.op in CONV_OPS:
             total += _conv_params(layer)
-        elif layer.op == "block":
-            total += sum(_conv_params(c) for c in layer.inner)
         elif layer.op == "dense":
             total += layer.out_features * layer.in_features + layer.out_features
     return total
@@ -325,31 +347,14 @@ def count_params(spec: ModelSpec) -> int:
 def count_flops(spec: ModelSpec, input_shape: tuple[int, int, int] | None = None) -> int:
     """Multiply-accumulate count for one sample through conv and dense
     layers (mask application, pooling, and activations are not counted)."""
-    if input_shape is None:
-        input_shape = spec.input_shape
-    c, h, w = input_shape
+    _, h, w = spec.input_shape if input_shape is None else input_shape
     spatial: tuple[int, int] | None = (h, w)
     total = 0
-
-    def conv_macs(layer: LayerSpec, hw):
-        out_hw = _conv_out(hw, layer.kernel_size, layer.stride, layer.padding)
-        macs = (
-            layer.out_channels
-            * layer.in_channels
-            * layer.kernel_size**2
-            * out_hw[0]
-            * out_hw[1]
-        )
-        return macs, out_hw
-
-    for layer in spec.layers:
+    for layer in _unblocked(spec):
         if layer.op in CONV_OPS:
-            macs, spatial = conv_macs(layer, spatial)
-            total += macs
-        elif layer.op == "block":
-            for c_spec in layer.inner:
-                macs, spatial = conv_macs(c_spec, spatial)
-                total += macs
+            spatial = _conv_out(spatial, layer.kernel_size, layer.stride, layer.padding)
+            taps = layer.in_channels * layer.kernel_size**2
+            total += layer.out_channels * taps * spatial[0] * spatial[1]
         elif layer.op == "pool":
             spatial = None
         elif layer.op == "dense":
@@ -361,25 +366,11 @@ def count_flops(spec: ModelSpec, input_shape: tuple[int, int, int] | None = None
 # JSON round-trip
 
 
+_CONV_FIELDS = ("in_channels", "out_channels", "kernel_size", "stride", "padding")
 _LAYER_FIELDS = {
-    "conv": ("in_channels", "out_channels", "kernel_size", "stride", "padding"),
-    "gmconv-static": (
-        "in_channels",
-        "out_channels",
-        "kernel_size",
-        "stride",
-        "padding",
-        "sigma_init",
-    ),
-    "gmconv-dynamic": (
-        "in_channels",
-        "out_channels",
-        "kernel_size",
-        "stride",
-        "padding",
-        "sigma_init",
-        "pattern",
-    ),
+    "conv": _CONV_FIELDS,
+    "gmconv-static": _CONV_FIELDS + ("sigma_init",),
+    "gmconv-dynamic": _CONV_FIELDS + ("sigma_init", "pattern"),
     "relu": (),
     "pool": ("pool_mode",),
     "dense": ("in_features", "out_features"),
@@ -444,9 +435,6 @@ class _ReluOp:
     def param_items(self):
         return []
 
-    def decay_param_names(self):
-        return []
-
 
 class _GlobalPoolOp:
     kind = "pool"
@@ -458,9 +446,6 @@ class _GlobalPoolOp:
         return global_pool(x, self.mode, tape)
 
     def param_items(self):
-        return []
-
-    def decay_param_names(self):
         return []
 
 
@@ -477,15 +462,13 @@ class _DenseOp:
     def param_items(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def decay_param_names(self):
-        return ["weight"]
-
 
 class _ResidualBlock:
     """Two 3x3 convs with an identity shortcut. A stride-2 first conv
     pairs with a parameter-free subsample-and-zero-pad shortcut."""
 
     kind = "block"
+    children = ("conv1", "conv2")
 
     def __init__(self, conv1, conv2, in_channels: int, out_channels: int, stride: int):
         self.conv1 = conv1
@@ -504,14 +487,7 @@ class _ResidualBlock:
         return relu(add(h, shortcut, tape), tape)
 
     def param_items(self):
-        items = [(f"conv1.{n}", t) for n, t in self.conv1.param_items()]
-        items += [(f"conv2.{n}", t) for n, t in self.conv2.param_items()]
-        return items
-
-    def decay_param_names(self):
-        names = [f"conv1.{n}" for n in self.conv1.decay_param_names()]
-        names += [f"conv2.{n}" for n in self.conv2.decay_param_names()]
-        return names
+        return []
 
 
 def _he_conv_weight(rng: np.random.Generator, o: int, c: int, k: int) -> Tensor:
@@ -594,19 +570,26 @@ class Model:
             h = mod.forward(h, tape)
         return h
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
+    def _walk(self):
+        """(name, module, put) for every module in network order, each
+        block followed by its children (layer7, layer7.conv1,
+        layer7.conv2); put(new) swaps the module in its owner."""
+
+        def walk(name, mod, put):
+            yield name, mod, put
+            for attr in getattr(mod, "children", ()):
+                yield from walk(f"{name}.{attr}", getattr(mod, attr), partial(setattr, mod, attr))
+
         for i, mod in enumerate(self.modules):
-            for name, t in mod.param_items():
-                out.append((f"layer{i}.{name}", t))
-        return out
+            yield from walk(f"layer{i}", mod, partial(self.modules.__setitem__, i))
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return [(f"{name}.{p}", t) for name, mod, _ in self._walk() for p, t in mod.param_items()]
 
     def decay_parameter_names(self) -> set[str]:
-        names = set()
-        for i, mod in enumerate(self.modules):
-            for name in mod.decay_param_names():
-                names.add(f"layer{i}.{name}")
-        return names
+        """Conv and dense weights; sigma, the sigma predictor and biases
+        are never decayed."""
+        return {name for name, _ in self.named_parameters() if name.endswith(".weight")}
 
     def static_sigma_items(self) -> list[tuple[str, Tensor]]:
         """Raw sigma tensors of static masked layers, in network order."""
@@ -614,40 +597,21 @@ class Model:
 
     def masked_layer_items(self) -> list[tuple[str, object]]:
         """(name, layer) for every masked conv, blocks included."""
-        out = []
-        for i, mod in enumerate(self.modules):
-            if isinstance(mod, (StaticGMConvLayer, DynamicGMConvLayer)):
-                out.append((f"layer{i}", mod))
-            elif isinstance(mod, _ResidualBlock):
-                for sub_name, sub in (("conv1", mod.conv1), ("conv2", mod.conv2)):
-                    if isinstance(sub, (StaticGMConvLayer, DynamicGMConvLayer)):
-                        out.append((f"layer{i}.{sub_name}", sub))
-        return out
+        masked = (StaticGMConvLayer, DynamicGMConvLayer)
+        return [(name, mod) for name, mod, _ in self._walk() if isinstance(mod, masked)]
 
     def fold(self) -> int:
         """Fold every static masked layer's mask into its weights in
         place, rewriting the spec to plain convs. Dynamic layers are left
         untouched (their mask depends on the input). Returns the number
         of layers folded."""
-        folded = 0
-        new_layers = list(self.spec.layers)
-        for i, mod in enumerate(self.modules):
-            layer_spec = new_layers[i]
-            if isinstance(mod, StaticGMConvLayer):
-                self.modules[i] = fold_mask(mod)
-                new_layers[i] = replace(layer_spec, op="conv")
-                folded += 1
-            elif isinstance(mod, _ResidualBlock):
-                inner = list(layer_spec.inner)
-                for j, attr in enumerate(("conv1", "conv2")):
-                    sub = getattr(mod, attr)
-                    if isinstance(sub, StaticGMConvLayer):
-                        setattr(mod, attr, fold_mask(sub))
-                        inner[j] = replace(inner[j], op="conv")
-                        folded += 1
-                new_layers[i] = replace(layer_spec, inner=tuple(inner))
-        self.spec = replace(self.spec, layers=tuple(new_layers))
-        return folded
+        static = [(mod, put) for _, mod, put in self._walk() if isinstance(mod, StaticGMConvLayer)]
+        for mod, put in static:
+            put(fold_mask(mod))
+        self.spec = _map_convs(
+            self.spec, lambda l: replace(l, op="conv") if l.op == "gmconv-static" else l
+        )
+        return len(static)
 
     def predict(self, x: Tensor) -> np.ndarray:
         """Argmax class per sample, tape-free."""

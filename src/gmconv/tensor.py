@@ -133,15 +133,6 @@ class GradTape:
                     t.grad += ig
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _check_finite_params_note() -> None:
-    # Forward ops preserve finiteness by construction; asserted in tests.
-    pass
-
-
 # ---------------------------------------------------------------------------
 # convolution
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -101,38 +101,12 @@ class TrainConfig:
             raise ConfigError(f"milestones must lie in [1, epochs), got {ms}")
 
 
-_CONFIG_KEYS = (
-    "model",
-    "num_classes",
-    "width",
-    "policy",
-    "dataset",
-    "data_root",
-    "normalization",
-    "train_subset",
-    "test_subset",
-    "image_shape",
-    "augment",
-    "epochs",
-    "batch_size",
-    "lr",
-    "milestones",
-    "lr_decay",
-    "momentum",
-    "weight_decay",
-    "seed",
-)
-_POLICY_KEYS = ("stem_mode", "body_mode", "sigma_init", "pattern")
+_CONFIG_KEYS = tuple(f.name for f in fields(TrainConfig))
+_POLICY_KEYS = tuple(f.name for f in fields(ConvPolicy))
 
 
 def config_to_json(config: TrainConfig) -> str:
-    d = {k: getattr(config, k) for k in _CONFIG_KEYS}
-    d["policy"] = {k: getattr(config.policy, k) for k in _POLICY_KEYS}
-    d["milestones"] = list(config.milestones)
-    d["image_shape"] = list(config.image_shape)
-    if config.normalization is not None:
-        d["normalization"] = [list(config.normalization[0]), list(config.normalization[1])]
-    return json.dumps(d, indent=2, sort_keys=True)
+    return json.dumps(asdict(config), indent=2, sort_keys=True)
 
 
 def config_from_json(text: str) -> TrainConfig:

@@ -1,6 +1,7 @@
 """Checkpoint serialization round-trips."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -124,6 +125,23 @@ def test_truncated_payload(tmp_path):
     with pytest.raises(DataError) as err:
         load_checkpoint(str(path))
     assert "payload" in str(err.value)
+
+
+def test_duplicate_tensor_name(tmp_path):
+    """A second record under one name would silently replace the first."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint_from_model(small_model()), str(path))
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + hlen])
+    payload = raw[8 + hlen :]
+    first = header["tensors"][0]
+    header["tensors"].append(dict(first, offset=len(payload)))
+    payload += payload[first["offset"] : first["offset"] + 8 * math.prod(first["shape"])]
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<I", len(text)) + text + payload)
+    with pytest.raises(DataError, match="twice"):
+        load_checkpoint(str(path))
 
 
 def test_missing_file():

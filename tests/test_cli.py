@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 import subprocess
 import sys
 
@@ -260,3 +261,67 @@ class TestMaskDumpCommand:
         for entry in manifest["layers"]:
             assert (out / entry["csv"]).exists()
             assert (out / entry["pgm"]).exists()
+
+
+DELETE = object()
+
+# (path into the header, new value); DELETE removes the key
+HEADER_MUTATIONS = [
+    ((), []),
+    (("tensors",), DELETE),
+    (("spec",), DELETE),
+    (("epoch",), DELETE),
+    (("rng_state",), DELETE),
+    (("rng_state",), {}),
+    (("rng_state", "state"), 5),
+    (("rng_state", "uinteger"), -1),
+    (("epoch",), "1"),
+    (("tensors",), {}),
+    (("tensors", 0), "param:x"),
+    (("tensors", 0, "name"), 7),
+    (("tensors", 0, "offset"), DELETE),
+    (("tensors", 0, "offset"), 10**9),
+    (("tensors", 0, "offset"), -8),
+    (("tensors", 0, "offset"), 0.0),
+    (("tensors", 0, "shape"), [-1]),
+    (("tensors", 0, "shape"), [2.5]),
+    (("tensors", 0, "shape"), 4),
+    (("spec", "layers", 0, "op"), "warp"),
+    (("spec", "layers", 0, "op"), DELETE),
+    (("spec", "layers"), DELETE),
+    (("spec", "input_shape"), 7),
+]
+
+
+def _mutated_header(raw, path, value):
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + hlen])
+    if path:
+        owner = header
+        for key in path[:-1]:
+            owner = owner[key]
+        if value is DELETE:
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = value
+    else:
+        header = value
+    text = json.dumps(header).encode("utf-8")
+    return raw[:4] + struct.pack("<I", len(text)) + text + raw[8 + hlen :]
+
+
+def _mutation_id(path, value):
+    return ("/".join(map(str, path)) or "header") + ("=del" if value is DELETE else f"={value!r}")
+
+
+@pytest.mark.parametrize(
+    "path,value", HEADER_MUTATIONS, ids=[_mutation_id(p, v) for p, v in HEADER_MUTATIONS]
+)
+def test_malformed_checkpoint_header_exits_3(trained, tmp_path, capsys, path, value):
+    with open(trained["ckpt"], "rb") as fh:
+        raw = fh.read()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_mutated_header(raw, path, value))
+    rc = main(["mask-dump", "--ckpt", str(bad), "--out", str(tmp_path / "masks")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: ")

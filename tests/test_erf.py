@@ -8,7 +8,9 @@ import pytest
 
 from gmconv import masks
 from gmconv.erf import ErfMap, dump_layer_masks, erf_radius, estimate_erf
+from gmconv.layers import _elliptic_mask_batch
 from gmconv.models import ConvPolicy, LayerSpec, Model, ModelSpec, apply_policy, build_model
+from gmconv.tensor import Tensor
 from util import copy_shared_params
 
 
@@ -228,6 +230,24 @@ class TestMaskDump:
         dyn = next(e for e in doc["layers"] if e["kind"] == "dynamic")
         np.testing.assert_allclose(dyn["sigma1_zero_input"], 5.0, rtol=1e-12)
         np.testing.assert_allclose(dyn["sigma2_zero_input"], 5.0, rtol=1e-12)
+
+    def test_dynamic_grid_is_the_applied_mask(self, tmp_path):
+        """The dumped dynamic grid is bit for bit the mask the layer
+        applies to the zero descriptor, on wide grids too."""
+        spec = apply_policy(build_model("alexnet-lite", 10), ConvPolicy("dynamic", "dynamic"))
+        model = Model(spec, np.random.default_rng(22))
+        rng = np.random.default_rng(23)
+        for draw in range(5):
+            for _, layer in model.masked_layer_items():
+                layer.sigma_module.b1.data[:] = rng.uniform(-3.0, 3.0, size=2)
+            out = tmp_path / str(draw)
+            manifest = dump_layer_masks(model, str(out))
+            for entry, (_, layer) in zip(manifest["layers"], model.masked_layer_items()):
+                mod = layer.sigma_module
+                s1, s2 = mod.predict(Tensor(np.zeros((1, mod.in_channels, 1, 1))))
+                applied = _elliptic_mask_batch(s1, s2, layer.kernel_size, None).data[0]
+                got = masks.read_grid_csv(str(out / entry["csv"]))
+                np.testing.assert_array_equal(got, applied)
 
     def test_no_masked_layers_gives_empty_manifest(self, tmp_path):
         model = Model(build_model("cnn-small", 10), np.random.default_rng(21))

@@ -14,6 +14,7 @@ from gmconv.layers import (
     fold_mask,
     softplus_inverse,
 )
+from gmconv.models import ConvPolicy, Model, apply_policy, build_model
 from gmconv.tensor import (
     GradTape,
     Tensor,
@@ -413,8 +414,14 @@ class TestParameterAccounting:
         assert total == plain_count + extra
 
     def test_decay_sets_exclude_geometry(self):
-        rng = np.random.default_rng(21)
-        st = make_static(rng)
-        dy = make_dynamic(rng)
-        assert st.decay_param_names() == ["weight"]
-        assert dy.decay_param_names() == ["weight"]
+        """Only conv and dense weights decay; sigma, the sigma predictor
+        and biases are left to the loss, blocks included."""
+        spec = apply_policy(
+            build_model("resnet20-slim", 10, width=0.25), ConvPolicy("dynamic", "static")
+        )
+        model = Model(spec, np.random.default_rng(21))
+        params = dict(model.named_parameters())
+        geometry = {"layer0.sigma_module.w0", "layer2.conv1.sigma", "layer10.conv2.sigma"}
+        assert geometry <= set(params)
+        blocks = {f"layer{i}.conv{j}.weight" for i in range(2, 11) for j in (1, 2)}
+        assert model.decay_parameter_names() == {"layer0.weight", "layer12.weight"} | blocks

@@ -193,12 +193,16 @@ class TestElliptic:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
 
     def test_reduces_to_circular_when_sigmas_equal(self):
-        for sigma in (0.7, 1.0, 4.2):
-            np.testing.assert_allclose(
-                masks.elliptic_values(sigma, sigma, 5),
-                masks.circular_values(sigma, 5),
-                rtol=1e-15,
-            )
+        """Circular is the elliptic mask with equal widths, bit for bit,
+        and its slope is the sum of the two axis slopes."""
+        rng = np.random.default_rng(6)
+        for k in (1, 2, 3, 4, 5, 7, 11):
+            for sigma in np.concatenate([[0.7, 1.0, 4.2], np.exp(rng.uniform(-8.0, 15.0, 30))]):
+                np.testing.assert_array_equal(
+                    masks.circular_values(sigma, k), masks.elliptic_values(sigma, sigma, k)
+                )
+                g1, g2 = masks.elliptic_grad_values(sigma, sigma, k)
+                np.testing.assert_array_equal(masks.circular_grad_values(sigma, k), g1 + g2)
 
     def test_hand_values_axes(self):
         """sigma1 widens the horizontal axis, sigma2 the vertical one."""
@@ -233,26 +237,29 @@ class TestElliptic:
 
 
 class TestBatchVariants:
+    # log-uniform widths from below SIGMA_MIN to above SIGMA_MAX
+    @staticmethod
+    def random_widths(seed, n=40):
+        rng = np.random.default_rng(seed)
+        return np.exp(rng.uniform(-8.0, 15.0, n)), np.exp(rng.uniform(-8.0, 15.0, n))
+
     def test_batch_matches_scalar_loop(self):
-        rng = np.random.default_rng(7)
-        s1 = rng.uniform(0.3, 6.0, size=11)
-        s2 = rng.uniform(0.3, 6.0, size=11)
-        got = masks.elliptic_values_batch(s1, s2, 5)
-        assert got.shape == (11, 5, 5)
-        for n in range(11):
-            np.testing.assert_allclose(
-                got[n], masks.elliptic_values(s1[n], s2[n], 5), rtol=1e-15
-            )
+        """Scalar masks are batches of one, so they agree bit for bit."""
+        for k in (1, 2, 3, 4, 5, 7, 11):
+            s1, s2 = self.random_widths(7 + k)
+            got = masks.elliptic_values_batch(s1, s2, k)
+            assert got.shape == (len(s1), k, k)
+            for n in range(len(s1)):
+                np.testing.assert_array_equal(got[n], masks.elliptic_values(s1[n], s2[n], k))
 
     def test_batch_grad_matches_scalar_loop(self):
-        rng = np.random.default_rng(8)
-        s1 = rng.uniform(0.3, 6.0, size=9)
-        s2 = rng.uniform(0.3, 6.0, size=9)
-        g1, g2 = masks.elliptic_grad_batch(s1, s2, 3)
-        for n in range(9):
-            w1, w2 = masks.elliptic_grad_values(s1[n], s2[n], 3)
-            np.testing.assert_allclose(g1[n], w1, rtol=1e-14)
-            np.testing.assert_allclose(g2[n], w2, rtol=1e-14)
+        for k in (1, 2, 3, 4, 5, 7, 11):
+            s1, s2 = self.random_widths(8 + k)
+            g1, g2 = masks.elliptic_grad_batch(s1, s2, k)
+            for n in range(len(s1)):
+                w1, w2 = masks.elliptic_grad_values(s1[n], s2[n], k)
+                np.testing.assert_array_equal(g1[n], w1)
+                np.testing.assert_array_equal(g2[n], w2)
 
     def test_batch_clamps_elementwise(self):
         got = masks.elliptic_values_batch(
