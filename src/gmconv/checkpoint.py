@@ -13,13 +13,15 @@ The header's ``tensors`` list gives, per tensor, its namespaced name
 the start of the payload section. The header also embeds the model spec,
 the epoch counter, and the training generator's state, so a run can be
 resumed exactly. Writing is canonical: the same state always produces
-byte-identical files.
+byte-identical files, and atomic: the file is written to ``<path>.tmp``,
+synced, then renamed over ``path``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -59,23 +61,30 @@ def checkpoint_from_model(
     return Checkpoint(model.spec, params, mom, epoch, state)
 
 
+def load_arrays(targets: dict[str, np.ndarray], arrays: dict[str, np.ndarray], what: str) -> None:
+    """Copy checkpoint `arrays` into the same-named `targets` in place.
+
+    The names must match exactly and every shape must agree; otherwise a
+    DataError names the offending tensors.
+    """
+    missing = sorted(set(targets) - set(arrays))
+    extra = sorted(set(arrays) - set(targets))
+    if missing or extra:
+        raise DataError(
+            f"checkpoint {what} do not match the spec: missing {missing}, unexpected {extra}"
+        )
+    for name, arr in arrays.items():
+        if targets[name].shape != arr.shape:
+            raise DataError(
+                f"checkpoint tensor {name!r} has shape {arr.shape}, model expects {targets[name].shape}"
+            )
+        targets[name][...] = arr
+
+
 def restore_model(ckpt: Checkpoint) -> Model:
     """Build a model from the checkpoint's spec and load its parameters."""
     model = Model(ckpt.spec, np.random.default_rng(0))
-    named = dict(model.named_parameters())
-    if set(named) != set(ckpt.params):
-        missing = sorted(set(named) - set(ckpt.params))
-        extra = sorted(set(ckpt.params) - set(named))
-        raise DataError(
-            f"checkpoint parameters do not match the spec: missing {missing}, unexpected {extra}"
-        )
-    for name, arr in ckpt.params.items():
-        tensor = named[name]
-        if tensor.data.shape != arr.shape:
-            raise DataError(
-                f"checkpoint tensor {name!r} has shape {arr.shape}, model expects {tensor.data.shape}"
-            )
-        tensor.data[...] = arr
+    load_arrays({n: t.data for n, t in model.named_parameters()}, ckpt.params, "parameters")
     return model
 
 
@@ -105,12 +114,23 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "tensors": index,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
+    # written beside the target and renamed over it, so a crash mid-write
+    # leaves the previous checkpoint intact
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header_bytes)))
+            fh.write(header_bytes)
+            for blob in blobs:
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -79,8 +79,6 @@ class _ConvLayer:
 class Conv2dLayer(_ConvLayer):
     """Ordinary convolution; also the result of folding a static layer."""
 
-    kind = "conv"
-
     def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
         return conv2d(x, self.weight, self.bias, self.stride, self.padding, tape)
 
@@ -96,19 +94,18 @@ def _mask_scale(weight: Tensor, sigma: Tensor, tape: GradTape | None) -> Tensor:
         raise ValueError(f"sigma must be a scalar tensor, got shape {sigma.data.shape}")
     k = weight.data.shape[2]
     raw = float(sigma.data)
-    m = masks.circular_values(raw, k)
+    if tape is None:
+        return Tensor(weight.data * masks.circular_values(raw, k))
+    m, dm = masks._circular_with_grad(raw, k)
     out = Tensor(weight.data * m)
+    wd = weight.data
 
-    if tape is not None:
-        wd = weight.data
-        dm = masks.circular_grad_values(raw, k)
+    def backward(g: np.ndarray):
+        dw = g * m
+        dsig = np.float64(np.sum(g * wd * dm))
+        return dw, dsig
 
-        def backward(g: np.ndarray):
-            dw = g * m
-            dsig = np.float64(np.sum(g * wd * dm))
-            return dw, dsig
-
-        tape.record(out, (weight, sigma), backward)
+    tape.record(out, (weight, sigma), backward)
     return out
 
 
@@ -116,16 +113,15 @@ def _elliptic_mask_batch(s1: Tensor, s2: Tensor, k: int, tape: GradTape | None) 
     """Tape op: per-sample elliptic masks, N x K x K from two N-vectors."""
     if s1.data.shape != s2.data.shape or s1.data.ndim != 1:
         raise ValueError("sigma vectors must be 1D and the same length")
-    m = masks.elliptic_values_batch(s1.data, s2.data, k)
+    if tape is None:
+        return Tensor(masks.elliptic_values_batch(s1.data, s2.data, k))
+    m, g1, g2 = masks._gaussian(s1.data, s2.data, k, grad=True)
     out = Tensor(m)
 
-    if tape is not None:
-        g1, g2 = masks.elliptic_grad_batch(s1.data, s2.data, k)
+    def backward(g: np.ndarray):
+        return np.sum(g * g1, axis=(1, 2)), np.sum(g * g2, axis=(1, 2))
 
-        def backward(g: np.ndarray):
-            return np.sum(g * g1, axis=(1, 2)), np.sum(g * g2, axis=(1, 2))
-
-        tape.record(out, (s1, s2), backward)
+    tape.record(out, (s1, s2), backward)
     return out
 
 
@@ -152,8 +148,6 @@ class StaticGMConvLayer(_ConvLayer):
     sigma is stored raw; evaluation clamps |sigma| into the admissible
     range and training sees a zero gradient while the clamp is active.
     """
-
-    kind = "gmconv-static"
 
     def __init__(
         self,
@@ -297,8 +291,6 @@ class DynamicSigmaModule:
 
 class DynamicGMConvLayer(_ConvLayer):
     """Convolution whose elliptic mask is predicted per input sample."""
-
-    kind = "gmconv-dynamic"
 
     def __init__(
         self,

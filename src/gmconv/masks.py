@@ -147,11 +147,16 @@ def circular_values(sigma: float, kernel_size: int) -> np.ndarray:
     return _gaussian(s, s, kernel_size)[0]
 
 
+def _circular_with_grad(sigma: float, kernel_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, d(mask)/d(sigma)) for the circular mask from one evaluation."""
+    s = _one(sigma)
+    m, g1, g2 = _gaussian(s, s, kernel_size, grad=True)
+    return m[0], g1[0] + g2[0]
+
+
 def circular_grad_values(sigma: float, kernel_size: int) -> np.ndarray:
     """d(mask)/d(sigma) for the circular mask, shape (K, K)."""
-    s = _one(sigma)
-    _, g1, g2 = _gaussian(s, s, kernel_size, grad=True)
-    return g1[0] + g2[0]
+    return _circular_with_grad(sigma, kernel_size)[1]
 
 
 def elliptic_values(sigma1: float, sigma2: float, kernel_size: int) -> np.ndarray:

@@ -427,8 +427,6 @@ def spec_from_json(text: str) -> ModelSpec:
 
 
 class _ReluOp:
-    kind = "relu"
-
     def forward(self, x, tape=None):
         return relu(x, tape)
 
@@ -437,8 +435,6 @@ class _ReluOp:
 
 
 class _GlobalPoolOp:
-    kind = "pool"
-
     def __init__(self, mode: str):
         self.mode = mode
 
@@ -450,8 +446,6 @@ class _GlobalPoolOp:
 
 
 class _DenseOp:
-    kind = "dense"
-
     def __init__(self, weight: Tensor, bias: Tensor):
         self.weight = weight
         self.bias = bias
@@ -467,7 +461,6 @@ class _ResidualBlock:
     """Two 3x3 convs with an identity shortcut. A stride-2 first conv
     pairs with a parameter-free subsample-and-zero-pad shortcut."""
 
-    kind = "block"
     children = ("conv1", "conv2")
 
     def __init__(self, conv1, conv2, in_channels: int, out_channels: int, stride: int):

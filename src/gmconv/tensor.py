@@ -12,9 +12,10 @@ with ``tape=None`` it is a pure forward evaluation. ``requires_grad`` is a
 marker used by optimizers to select trainable parameters; adjoints are
 propagated to every input regardless, since intermediates need them.
 
-Convolution runs through im2col (window unfold then one matrix multiply).
-A direct-loop reference, ``conv2d_reference``, is kept as an internal
-oracle; the two paths must agree to near machine precision.
+Convolution runs through im2col (window unfold then matrix multiply), with
+one forward and one gradient routine for ``conv2d`` and ``conv2d_per_sample``.
+The direct-loop references are kept as internal oracles; the two paths must
+agree to near machine precision.
 """
 
 from __future__ import annotations
@@ -69,9 +70,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -82,7 +80,8 @@ class GradTape:
 
     Each record is (out, inputs, backward_fn). backward_fn receives the
     adjoint of `out` and returns one adjoint (or None) per input, in
-    order. Records are replayed newest-first by `backward`.
+    order. An absent bias is recorded as a None input and gets no adjoint.
+    Records are replayed newest-first by `backward`.
     """
 
     def __init__(self) -> None:
@@ -90,9 +89,6 @@ class GradTape:
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
         self.records.append((out, inputs, backward_fn))
-
-    def clear(self) -> None:
-        self.records.clear()
 
     def backward(self, out: Tensor, seed: np.ndarray | None = None) -> None:
         """Propagate adjoints from `out` back through every recorded op.
@@ -105,7 +101,8 @@ class GradTape:
         for rec_out, rec_inputs, _ in self.records:
             touched[id(rec_out)] = rec_out
             for t in rec_inputs:
-                touched[id(t)] = t
+                if t is not None:
+                    touched[id(t)] = t
         for t in touched.values():
             t.grad = None
 
@@ -187,9 +184,34 @@ def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, padding: int, ho: i
             dxp[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += dwin[
                 :, :, :, :, ki, kj
             ]
-    if padding:
-        return dxp[:, :, padding : padding + h, padding : padding + w]
-    return np.ascontiguousarray(dxp)
+    return dxp[:, :, padding : padding + h, padding : padding + w]
+
+
+def _conv_forward(xd, wd, bdat, stride: int, padding: int, ho: int, wo: int) -> np.ndarray:
+    """im2col then one GEMM for an O x C x K x K weight, or a batched GEMM
+    (one per sample) for an N x O x C x K x K weight."""
+    lead, (o, c, k, _) = wd.shape[:-4], wd.shape[-4:]
+    cols = _im2col(xd, k, stride, padding, ho, wo).reshape(*lead, -1, c * k * k)
+    flat = cols @ wd.reshape(*lead, o, c * k * k).swapaxes(-1, -2)
+    if bdat is not None:
+        flat += bdat
+    return flat.reshape(-1, ho, wo, o).transpose(0, 3, 1, 2)
+
+
+def _conv_grads(g: np.ndarray, xd, wd, has_bias: bool, stride: int, padding: int):
+    """(dx, dw, db) of `_conv_forward` for the output adjoint g; db is None
+    without a bias."""
+    _, o, ho, wo = g.shape
+    lead, (c, k) = wd.shape[:-4], wd.shape[-3:-1]
+    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(*lead, -1, o)
+    # columns are recomputed here rather than kept alive in the closure;
+    # trades one unfold for a much smaller live set
+    cols = _im2col(xd, k, stride, padding, ho, wo).reshape(*lead, -1, c * k * k)
+    dw = (gmat.swapaxes(-1, -2) @ cols).reshape(wd.shape)
+    dcols = (gmat @ wd.reshape(*lead, o, c * k * k)).reshape(-1, c * k * k)
+    dx = _col2im(dcols, xd.shape, k, stride, padding, ho, wo)
+    db = gmat.reshape(-1, o).sum(axis=0) if has_bias else None
+    return dx, dw, db
 
 
 def conv2d(
@@ -207,33 +229,16 @@ def conv2d(
     zero-padded receptive field, plus the per-channel bias.
     """
     bdat = None if b is None else b.data
-    n, c, h, wdt, o, k, ho, wo = _conv_checks(x.data, w.data, bdat, stride, padding)
-    cols = _im2col(x.data, k, stride, padding, ho, wo)
-    wmat = w.data.reshape(o, c * k * k)
-    flat = cols @ wmat.T
-    if bdat is not None:
-        flat += bdat
-    out = Tensor(flat.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
+    *_, ho, wo = _conv_checks(x.data, w.data, bdat, stride, padding)
+    out = Tensor(_conv_forward(x.data, w.data, bdat, stride, padding, ho, wo))
 
     if tape is not None:
-        x_shape = x.data.shape
         xd, wd = x.data, w.data
 
         def backward(g: np.ndarray):
-            gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, o)
-            # columns are recomputed here rather than kept alive in the
-            # closure; trades one unfold for a much smaller live set
-            cols_b = _im2col(xd, k, stride, padding, ho, wo)
-            dw = (gmat.T @ cols_b).reshape(wd.shape)
-            dcols = gmat @ wd.reshape(o, c * k * k)
-            dx = _col2im(dcols, x_shape, k, stride, padding, ho, wo)
-            db = gmat.sum(axis=0) if bdat is not None else None
-            if b is None:
-                return dx, dw
-            return dx, dw, db
+            return _conv_grads(g, xd, wd, b is not None, stride, padding)
 
-        inputs = (x, w) if b is None else (x, w, b)
-        tape.record(out, inputs, backward)
+        tape.record(out, (x, w, b), backward)
     return out
 
 
@@ -284,30 +289,16 @@ def conv2d_per_sample(
             f"weight batch {wb.data.shape[0]} does not match input batch {x.data.shape[0]}"
         )
     bdat = None if b is None else b.data
-    n, c, h, wdt, o, k, ho, wo = _conv_checks(x.data, wb.data[0], bdat, stride, padding)
-    cols = _im2col(x.data, k, stride, padding, ho, wo).reshape(n, ho * wo, c * k * k)
-    wmat = wb.data.reshape(n, o, c * k * k)
-    flat = np.matmul(cols, wmat.transpose(0, 2, 1))
-    if bdat is not None:
-        flat += bdat
-    out = Tensor(flat.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
+    *_, ho, wo = _conv_checks(x.data, wb.data[0], bdat, stride, padding)
+    out = Tensor(_conv_forward(x.data, wb.data, bdat, stride, padding, ho, wo))
 
     if tape is not None:
-        x_shape = x.data.shape
-        xd = x.data
+        xd, wd = x.data, wb.data
 
         def backward(g: np.ndarray):
-            gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n, ho * wo, o)
-            cols_b = _im2col(xd, k, stride, padding, ho, wo).reshape(n, ho * wo, c * k * k)
-            dwb = np.matmul(gmat.transpose(0, 2, 1), cols_b).reshape(wb.data.shape)
-            dcols = np.matmul(gmat, wmat).reshape(n * ho * wo, c * k * k)
-            dx = _col2im(dcols, x_shape, k, stride, padding, ho, wo)
-            if b is None:
-                return dx, dwb
-            return dx, dwb, g.sum(axis=(0, 2, 3))
+            return _conv_grads(g, xd, wd, b is not None, stride, padding)
 
-        inputs = (x, wb) if b is None else (x, wb, b)
-        tape.record(out, inputs, backward)
+        tape.record(out, (x, wb, b), backward)
     return out
 
 
@@ -385,14 +376,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None, tape: GradTape | None =
     if tape is not None:
 
         def backward(g: np.ndarray):
-            dx = g @ w.data
-            dw = g.T @ x.data
-            if b is None:
-                return dx, dw
-            return dx, dw, g.sum(axis=0)
+            return g @ w.data, g.T @ x.data, None if b is None else g.sum(axis=0)
 
-        inputs = (x, w) if b is None else (x, w, b)
-        tape.record(out, inputs, backward)
+        tape.record(out, (x, w, b), backward)
     return out
 
 

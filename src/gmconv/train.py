@@ -20,7 +20,13 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .checkpoint import Checkpoint, checkpoint_from_model, restore_model, save_checkpoint
+from .checkpoint import (
+    Checkpoint,
+    checkpoint_from_model,
+    load_arrays,
+    restore_model,
+    save_checkpoint,
+)
 from .data import DATASET_IDS, DatasetSource, augment_batch, load_dataset
 from .masks import clamp_sigma
 from .models import (
@@ -263,8 +269,12 @@ def train(
     """Run the full recipe; returns per-epoch metrics and the final state.
 
     With `out_dir`, metrics.csv and last.ckpt are rewritten after every
-    epoch. With `resume`, training continues from the checkpoint's epoch
-    and generator state; the config must build the same spec.
+    epoch. A non-finite loss or static sigma raises FloatingPointError at
+    the step where it appears; with `out_dir` it first writes crash.ckpt,
+    the state at the start of that epoch (byte-identical to the previous
+    epoch's last.ckpt). With `resume`, training continues from the
+    checkpoint's epoch and generator state; the config must build the
+    same spec.
     """
     rng = np.random.default_rng(config.seed)
     model = build_run_model(config, rng)
@@ -280,11 +290,8 @@ def train(
     if resume is not None:
         if spec_to_json(resume.spec) != spec_to_json(model.spec):
             raise ConfigError("checkpoint spec does not match the configured model")
-        named = dict(params)
-        for name, arr in resume.params.items():
-            named[name].data[...] = arr
-        for name, arr in resume.momentum.items():
-            momentum_buffers[name][...] = arr
+        load_arrays({n: t.data for n, t in params}, resume.params, "parameters")
+        load_arrays(momentum_buffers, resume.momentum, "momentum buffers")
         rng.bit_generator.state = resume.rng_state
         start_epoch = resume.epoch
         if start_epoch >= config.epochs:
@@ -300,6 +307,9 @@ def train(
     history: list[EpochMetrics] = []
     n = len(train_images)
     last_finite = float("nan")
+    # the state at the start of the current epoch: what last.ckpt holds,
+    # and what crash.ckpt gets if the epoch diverges
+    saved = checkpoint_from_model(model, momentum_buffers, start_epoch, rng.bit_generator.state)
     for epoch in range(start_epoch + 1, config.epochs + 1):
         lr = effective_lr(config, epoch)
         perm = rng.permutation(n)
@@ -312,44 +322,35 @@ def train(
             tape = GradTape()
             logits = model.forward(Tensor(batch), tape)
             loss = softmax_cross_entropy(logits, train_labels[idx], tape)
-            if not np.isfinite(loss.data):
-                if out_dir:
-                    crash = checkpoint_from_model(
-                        model, momentum_buffers, epoch - 1, rng.bit_generator.state
+            if np.isfinite(loss.data):
+                last_finite = float(loss.data)
+                tape.backward(loss)
+                sgd_step(params, momentum_buffers, decay_names, lr, config.momentum, config.weight_decay)
+                loss_sum += float(loss.data) * len(idx)
+            # a non-finite loss skips the step; a finite one may still push a sigma off
+            for name, t in [("loss", loss), *sigma_items]:
+                if not np.isfinite(t.data):
+                    if out_dir:
+                        save_checkpoint(saved, os.path.join(out_dir, "crash.ckpt"))
+                    raise FloatingPointError(
+                        f"training diverged: {name} {float(t.data)!r} at epoch {epoch}, "
+                        f"batch {batch_index} (lr={lr:g}, last finite loss {last_finite:g})"
                     )
-                    save_checkpoint(crash, os.path.join(out_dir, "crash.ckpt"))
-                raise FloatingPointError(
-                    f"training diverged: loss {float(loss.data)!r} at epoch {epoch}, "
-                    f"batch {batch_index} (lr={lr:g}, last finite loss {last_finite:g})"
-                )
-            last_finite = float(loss.data)
-            tape.backward(loss)
-            sgd_step(params, momentum_buffers, decay_names, lr, config.momentum, config.weight_decay)
-            loss_sum += float(loss.data) * len(idx)
 
-        sigmas = []
-        for _, t in sigma_items:
-            raw = float(t.data)
-            if not np.isfinite(raw):
-                raise FloatingPointError(f"sigma diverged to {raw!r} at epoch {epoch}")
-            sigmas.append(float(clamp_sigma(raw)))
         metrics = EpochMetrics(
             epoch=epoch,
             train_loss=loss_sum / n,
             test_acc=evaluate_model(model, test_images, test_labels),
-            sigmas=tuple(sigmas),
+            sigmas=tuple(clamp_sigma(float(t.data)) for _, t in sigma_items),
         )
         history.append(metrics)
+        saved = checkpoint_from_model(model, momentum_buffers, epoch, rng.bit_generator.state)
         if out_dir:
-            ckpt = checkpoint_from_model(model, momentum_buffers, epoch, rng.bit_generator.state)
-            save_checkpoint(ckpt, os.path.join(out_dir, "last.ckpt"))
+            save_checkpoint(saved, os.path.join(out_dir, "last.ckpt"))
             with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
                 fh.write(metrics_to_csv(history))
 
-    final = checkpoint_from_model(
-        model, momentum_buffers, config.epochs, rng.bit_generator.state
-    )
-    return history, final
+    return history, saved
 
 
 # ---------------------------------------------------------------------------

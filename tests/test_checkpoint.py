@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -90,6 +91,23 @@ def test_restore_rejects_shape_mismatch():
     with pytest.raises(DataError) as err:
         restore_model(ckpt)
     assert "layer0.bias" in str(err.value)
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    model = small_model()
+    path = tmp_path / "last.ckpt"
+    save_checkpoint(checkpoint_from_model(model, epoch=1), str(path))
+    before = path.read_bytes()
+
+    def fail(fd):
+        raise OSError("device lost")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    dict(model.named_parameters())["layer0.weight"].data += 1.0
+    with pytest.raises(OSError, match="device lost"):
+        save_checkpoint(checkpoint_from_model(model, epoch=2), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["last.ckpt"]
 
 
 def test_snapshot_is_detached():

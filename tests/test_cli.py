@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, cross-command agreement."""
 
+import importlib
 import json
 import math
 import struct
@@ -152,6 +153,21 @@ class TestTrainCommand:
         cfg.write_text(config_to_json(cfg_obj))
         assert main(["train", "--config", str(cfg)]) == 3
         assert "error" in capsys.readouterr().err
+
+    def test_diverged_sigma_exits_1_with_crash_checkpoint(self, tmp_path, monkeypatch, capsys):
+        train_module = importlib.import_module("gmconv.train")  # gmconv.train is also a function
+        real_step = train_module.sgd_step
+
+        def nan_sigma(params, *args):
+            real_step(params, *args)
+            dict(params)["layer0.sigma"].data[...] = np.nan
+
+        monkeypatch.setattr(train_module, "sgd_step", nan_sigma)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_to_json(TINY))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "layer0.sigma nan" in capsys.readouterr().err
+        assert load_checkpoint(str(tmp_path / "out" / "crash.ckpt")).epoch == 0
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "none.json")]) == 2

@@ -115,9 +115,7 @@ class TestEstimate:
 
     def test_rejects_non_spatial_layer(self):
         model = Model(build_model("cnn-small", 10), np.random.default_rng(9))
-        pool_index = next(
-            i for i, m in enumerate(model.modules) if getattr(m, "kind", "") == "pool"
-        )
+        pool_index = next(i for i, layer in enumerate(model.spec.layers) if layer.op == "pool")
         with pytest.raises(ValueError):
             estimate_erf(model, pool_index, 1, np.random.default_rng(10))
 

@@ -28,6 +28,34 @@ from gmconv.tensor import (
 from util import num_grad
 
 
+# (N, C, H, W, O, K, stride, padding) of the im2col-vs-direct-loop oracle
+CONV_GEOMETRIES = [
+    (1, 1, 5, 5, 1, 3, 1, 0),
+    (2, 3, 8, 8, 4, 3, 1, 1),
+    (2, 3, 9, 9, 4, 3, 2, 1),
+    (1, 2, 11, 11, 3, 5, 2, 2),
+    (3, 1, 7, 12, 2, 3, 3, 0),
+    (1, 3, 16, 16, 2, 11, 1, 5),
+]
+
+
+def conv_grads_match_fd(op, x, w, b, s, p, rng):
+    """Tape adjoints of every input of `op` against central differences."""
+    out_shape = op(x, w, b, stride=s, padding=p).data.shape
+    r = rng.normal(size=out_shape)
+
+    def loss_value(_arr=None):
+        return float(np.sum(op(x, w, b, stride=s, padding=p).data * r))
+
+    tape = GradTape()
+    out = op(x, w, b, stride=s, padding=p, tape=tape)
+    loss = tsum(mul(out, Tensor(r), tape), tape)
+    tape.backward(loss)
+    for t in (x, w) if b is None else (x, w, b):
+        want = num_grad(loss_value, t.data, h=1e-5)
+        np.testing.assert_allclose(t.grad, want, rtol=1e-4, atol=1e-6)
+
+
 class TestConvForward:
     def test_identity_1x1_kernel(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
@@ -54,15 +82,7 @@ class TestConvForward:
     def test_matches_direct_loop_reference(self):
         """im2col path vs. independent nested-loop path, near machine eps."""
         rng = np.random.default_rng(42)
-        cases = [
-            (1, 1, 5, 5, 1, 3, 1, 0),
-            (2, 3, 8, 8, 4, 3, 1, 1),
-            (2, 3, 9, 9, 4, 3, 2, 1),
-            (1, 2, 11, 11, 3, 5, 2, 2),
-            (3, 1, 7, 12, 2, 3, 3, 0),
-            (1, 3, 16, 16, 2, 11, 1, 5),
-        ]
-        for n, c, h, wdt, o, k, s, p in cases:
+        for n, c, h, wdt, o, k, s, p in CONV_GEOMETRIES:
             x = rng.normal(size=(n, c, h, wdt))
             w = rng.normal(size=(o, c, k, k))
             b = rng.normal(size=o)
@@ -125,50 +145,31 @@ class TestConvGrad:
         ]:
             x = Tensor(rng.normal(size=(n, c, h, wdt)))
             w = Tensor(rng.normal(size=(o, c, k, k)))
-            b = Tensor(rng.normal(size=o))
-            r = rng.normal(size=(n, o, (h + 2 * p - k) // s + 1, (wdt + 2 * p - k) // s + 1))
-
-            def loss_value(_arr=None):
-                out = conv2d(x, w, b, stride=s, padding=p)
-                return float(np.sum(out.data * r))
-
-            tape = GradTape()
-            out = conv2d(x, w, b, stride=s, padding=p, tape=tape)
-            loss = tsum(mul(out, Tensor(r), tape), tape)
-            tape.backward(loss)
-            for t in (x, w, b):
-                want = num_grad(loss_value, t.data, h=1e-5)
-                np.testing.assert_allclose(t.grad, want, rtol=1e-4, atol=1e-6)
+            for b in (Tensor(rng.normal(size=o)), None):
+                conv_grads_match_fd(conv2d, x, w, b, s, p, rng)
 
     def test_per_sample_grads(self):
+        """The same check for per-sample kernels, over the oracle's geometries."""
         rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(size=(3, 2, 5, 5)))
-        wb = Tensor(rng.normal(size=(3, 2, 2, 3, 3)))
-        b = Tensor(rng.normal(size=2))
-        r = rng.normal(size=(3, 2, 5, 5))
-
-        def loss_value(_arr=None):
-            return float(np.sum(conv2d_per_sample(x, wb, b, padding=1).data * r))
-
-        tape = GradTape()
-        out = conv2d_per_sample(x, wb, b, padding=1, tape=tape)
-        loss = tsum(mul(out, Tensor(r), tape), tape)
-        tape.backward(loss)
-        for t in (x, wb, b):
-            want = num_grad(loss_value, t.data, h=1e-5)
-            np.testing.assert_allclose(t.grad, want, rtol=1e-4, atol=1e-6)
+        for n, c, h, wdt, o, k, s, p in CONV_GEOMETRIES:
+            x = Tensor(rng.normal(size=(n, c, h, wdt)))
+            wb = Tensor(rng.normal(size=(n, o, c, k, k)))
+            for b in (Tensor(rng.normal(size=o)), None):
+                conv_grads_match_fd(conv2d_per_sample, x, wb, b, s, p, rng)
 
 
 class TestPerSampleConv:
     def test_batched_equals_per_sample_loop(self):
         """Internal oracle: grouped matmul path vs. the normative loop."""
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(4, 3, 8, 8))
-        wb = rng.normal(size=(4, 5, 3, 3, 3))
-        b = rng.normal(size=5)
-        fast = conv2d_per_sample(Tensor(x), Tensor(wb), Tensor(b), stride=1, padding=1).data
-        slow = conv2d_per_sample_reference(x, wb, b, stride=1, padding=1)
-        assert np.max(np.abs(fast - slow)) < 1e-12
+        for n, c, h, wdt, o, k, s, p in CONV_GEOMETRIES:
+            x = rng.normal(size=(n, c, h, wdt))
+            wb = rng.normal(size=(n, o, c, k, k))
+            for b in (rng.normal(size=o), None):
+                bt = None if b is None else Tensor(b)
+                fast = conv2d_per_sample(Tensor(x), Tensor(wb), bt, stride=s, padding=p).data
+                slow = conv2d_per_sample_reference(x, wb, b, stride=s, padding=p)
+                assert np.max(np.abs(fast - slow)) < 1e-12
 
     def test_identical_weights_match_plain_conv(self):
         rng = np.random.default_rng(6)
@@ -260,15 +261,17 @@ class TestDense:
         b = Tensor(rng.normal(size=2))
         r = rng.normal(size=(3, 2))
 
-        def loss_value(_arr=None):
-            return float(np.sum(dense(x, w, b).data * r))
+        for bias in (b, None):
 
-        tape = GradTape()
-        loss = tsum(mul(dense(x, w, b, tape), Tensor(r), tape), tape)
-        tape.backward(loss)
-        for t in (x, w, b):
-            want = num_grad(loss_value, t.data, h=1e-6)
-            np.testing.assert_allclose(t.grad, want, rtol=1e-4, atol=1e-7)
+            def loss_value(_arr=None):
+                return float(np.sum(dense(x, w, bias).data * r))
+
+            tape = GradTape()
+            loss = tsum(mul(dense(x, w, bias, tape), Tensor(r), tape), tape)
+            tape.backward(loss)
+            for t in (x, w) if bias is None else (x, w, b):
+                want = num_grad(loss_value, t.data, h=1e-6)
+                np.testing.assert_allclose(t.grad, want, rtol=1e-4, atol=1e-7)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

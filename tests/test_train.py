@@ -1,12 +1,14 @@
 """Training loop, schedules, metrics, and evaluation."""
 
+import importlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gmconv.checkpoint import load_checkpoint, restore_model
-from gmconv.data import load_dataset
+from gmconv.data import DataError, load_dataset
 from gmconv.masks import SIGMA_MAX, SIGMA_MIN
 from gmconv.models import ConvPolicy, LayerSpec, Model, ModelSpec, build_model
 from gmconv.tensor import Tensor
@@ -227,6 +229,22 @@ class TestResume:
         with pytest.raises(ConfigError):
             train(replace(TINY, epochs=2, policy=ConvPolicy("std", "std")), resume=ckpt)
 
+    @pytest.mark.parametrize(
+        "mutate, culprit",
+        [
+            (lambda c: c.params.pop("layer0.bias"), "layer0.bias"),
+            (lambda c: c.params.update({"layer9.extra": np.zeros(1)}), "layer9.extra"),
+            (lambda c: c.momentum.update({"layer9.extra": np.zeros(1)}), "layer9.extra"),
+            (lambda c: c.params.update({"layer0.bias": np.zeros(99)}), "layer0.bias"),
+        ],
+        ids=["missing-param", "extra-param", "extra-momentum", "wrong-shape"],
+    )
+    def test_resume_rejects_mismatched_tensors(self, mutate, culprit):
+        _, ckpt = train(replace(TINY, epochs=1))
+        mutate(ckpt)
+        with pytest.raises(DataError, match=re.escape(culprit)):
+            train(replace(TINY, epochs=2), resume=ckpt)
+
     def test_resume_beyond_config_rejected(self):
         _, ckpt = train(replace(TINY, epochs=1))
         with pytest.raises(ConfigError):
@@ -257,6 +275,37 @@ class TestDivergenceAbort:
         msg = str(err.value)
         assert "diverged" in msg
         assert "epoch" in msg
+
+    @pytest.mark.parametrize("culprit", ["loss", "layer0.sigma"])
+    def test_crash_checkpoint_is_the_epoch_start_state(self, culprit, tmp_path, monkeypatch):
+        """A NaN loss at epoch 2, batch 1, or a NaN sigma after the step of
+        epoch 2, batch 0, aborts at that step; crash.ckpt then equals the
+        last.ckpt written at the end of epoch 1 byte for byte."""
+        train_module = importlib.import_module("gmconv.train")  # gmconv.train is also a function
+        calls = []
+        real_loss, real_step = train_module.softmax_cross_entropy, train_module.sgd_step
+
+        def nan_loss(*args, **kwargs):
+            calls.append(None)
+            loss = real_loss(*args, **kwargs)
+            return Tensor(np.nan) if len(calls) == 4 else loss
+
+        def nan_sigma(params, *args):
+            real_step(params, *args)
+            calls.append(None)
+            if len(calls) == 3:
+                dict(params)["layer0.sigma"].data[...] = np.nan
+
+        if culprit == "loss":
+            monkeypatch.setattr(train_module, "softmax_cross_entropy", nan_loss)
+        else:
+            monkeypatch.setattr(train_module, "sgd_step", nan_sigma)
+        with pytest.raises(FloatingPointError) as err:
+            train(TINY, out_dir=str(tmp_path))
+        batch = 1 if culprit == "loss" else 0
+        assert f"diverged: {culprit} nan at epoch 2, batch {batch}" in str(err.value)
+        assert (tmp_path / "crash.ckpt").read_bytes() == (tmp_path / "last.ckpt").read_bytes()
+        assert load_checkpoint(str(tmp_path / "crash.ckpt")).epoch == 1
 
 
 class TestSmokeRun:
