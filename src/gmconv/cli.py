@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .checkpoint import checkpoint_from_model, load_checkpoint, restore_model, save_checkpoint
-from .data import DataError, DatasetSource
+from .data import DATASET_IDS, DataError, DatasetSource
 from .erf import dump_layer_masks, erf_radius, estimate_erf
 from .masks import circular_mask, elliptic_mask, export_mask, write_grid_csv, write_grid_pgm
 from .train import ConfigError, evaluate, load_config, metrics_to_csv, train
@@ -40,8 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="top-1 accuracy of a checkpoint on a split")
     e.add_argument("--ckpt", required=True)
     e.add_argument("--data", default="", help="dataset root directory")
-    e.add_argument("--dataset", default="cifar10-bin",
-                   choices=("cifar10-bin", "cifar100-bin", "mnist-idx", "synthetic"))
+    e.add_argument("--dataset", default="cifar10-bin", choices=DATASET_IDS)
     e.add_argument("--split", default="test", choices=("train", "test"))
     e.add_argument("--subset", type=int, default=0,
                    help="first N records only (synthetic: sample count, 0 -> 1000)")
@@ -103,21 +102,17 @@ def _parse_norm(mean_text: str, std_text: str):
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     norm = _parse_norm(args.mean, args.std)
-    if args.dataset == "synthetic":
-        src = DatasetSource(
-            "synthetic",
-            split=args.split,
-            normalization=norm,
-            num_samples=args.subset or 1000,
-            num_classes=ckpt.spec.num_classes,
-            image_shape=ckpt.spec.input_shape,
-            seed=args.seed,
-        )
-    else:
-        src = DatasetSource(
-            args.dataset, root=args.data, split=args.split,
-            normalization=norm, subset=args.subset,
-        )
+    src = DatasetSource(
+        args.dataset,
+        root=args.data,
+        split=args.split,
+        normalization=norm,
+        subset=args.subset,
+        num_samples=args.subset or 1000,
+        num_classes=ckpt.spec.num_classes,
+        image_shape=ckpt.spec.input_shape,
+        seed=args.seed,
+    )
     acc = evaluate(ckpt, src)
     print("accuracy %.17g" % acc)
     return 0

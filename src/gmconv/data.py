@@ -32,7 +32,7 @@ class DatasetSource:
 
     `normalization`, when set, is (mean, std) per channel applied after
     the [0, 1] scaling. The synthetic generator ignores `root` and uses
-    the seed/shape fields instead.
+    the seed/shape fields instead; file readers ignore those fields.
     """
 
     id: str

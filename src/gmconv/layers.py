@@ -158,7 +158,7 @@ class StaticGMConvLayer(_ConvLayer):
         padding: int = 0,
     ):
         super().__init__(weight, bias, stride, padding)
-        self.sigma = Tensor(np.float64(sigma), requires_grad=True, name="sigma")
+        self.sigma = Tensor(np.float64(sigma))
         self.folded = False
 
     def current_mask(self) -> masks.GaussianMask:
@@ -177,8 +177,9 @@ class StaticGMConvLayer(_ConvLayer):
 def fold_mask(layer: StaticGMConvLayer) -> Conv2dLayer:
     """Bake the current mask into the weights, returning a plain layer.
 
-    conv2d(x, W * M, b) is computed by the static forward pass in exactly
-    this order, so the folded layer reproduces its outputs bit for bit.
+    The folded weight is the static forward pass's own masked weight
+    (``_mask_scale``), so the folded layer reproduces its outputs bit for
+    bit.
     Folding consumes the layer: a second fold (or further forward calls
     on the original) is rejected. Dynamic layers cannot be folded because
     their mask depends on the input.
@@ -189,8 +190,7 @@ def fold_mask(layer: StaticGMConvLayer) -> Conv2dLayer:
         raise TypeError(f"fold_mask expects a static layer, got {type(layer).__name__}")
     if layer.folded:
         raise RuntimeError("layer is already folded")
-    m = masks.circular_values(float(layer.sigma.data), layer.kernel_size)
-    folded_w = Tensor(layer.weight.data * m, requires_grad=True)
+    folded_w = _mask_scale(layer.weight, layer.sigma, None)
     layer.folded = True
     return Conv2dLayer(folded_w, layer.bias, layer.stride, layer.padding)
 
@@ -240,14 +240,8 @@ class DynamicSigmaModule:
         rng = rng if rng is not None else np.random.default_rng()
         lim0 = 1.0 / math.sqrt(2 * in_channels)
         lim1 = 1.0 / math.sqrt(hidden)
-        self.w0 = Tensor(
-            rng.uniform(-lim0, lim0, size=(hidden, 2 * in_channels)),
-            requires_grad=True,
-            name="w0",
-        )
-        self.w1 = Tensor(
-            rng.uniform(-lim1, lim1, size=(arity, hidden)), requires_grad=True, name="w1"
-        )
+        self.w0 = Tensor(rng.uniform(-lim0, lim0, size=(hidden, 2 * in_channels)))
+        self.w1 = Tensor(rng.uniform(-lim1, lim1, size=(arity, hidden)))
         b1 = np.empty(arity)
         b1[0] = softplus_inverse(sigma_init - G_FLOOR)
         if arity == 2:
@@ -255,7 +249,7 @@ class DynamicSigmaModule:
                 b1[1] = b1[0]
             else:  # sigma_ratio: unit ratio
                 b1[1] = softplus_inverse(1.0 - G_FLOOR)
-        self.b1 = Tensor(b1, requires_grad=True, name="b1")
+        self.b1 = Tensor(b1)
 
     def descriptor(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
         zmax = global_pool(x, "max", tape)

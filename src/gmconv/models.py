@@ -8,10 +8,18 @@ instantiated into a runtime Model with He-initialized parameters. One
 spec-level rewrite, ``_map_convs``, reaches every conv descriptor (block
 convs included) for both policy application and folding.
 
+Each structural fact is stated once. A LayerSpec checks its own fields;
+one walk over a spec (``_walk_spec``) checks that the layers compose and
+yields every conv and dense descriptor with its output size, and both
+``check_spec`` and ``count_flops`` run on it. ``count_params`` is the
+parameter size of the Model a spec builds, so the layers' own shape rules
+(the sigma predictor's hidden width and arity included) are the only copy.
+
 A Model is a list of modules; a residual block names its two convs as
-children. ``Model._walk`` visits every module once, children after their
-block, and parameter naming, weight-decay selection, masked-layer listing
-and folding are all built on it.
+children and reads its stride and widths from them. ``Model._walk``
+visits every module once, children after their block, and parameter
+naming, weight-decay selection, masked-layer listing and folding are all
+built on it.
 
 There is no batch normalization anywhere; He-style weight scales stand in
 for it so the op set stays small and every gradient stays checkable.
@@ -21,12 +29,15 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from .layers import (
+    G_FLOOR,
+    PATTERNS,
     Conv2dLayer,
     DynamicGMConvLayer,
     DynamicSigmaModule,
@@ -40,6 +51,18 @@ ALL_OPS = CONV_OPS + ("relu", "pool", "dense", "block")
 ROLES = ("stem", "body", "head")
 MODES = ("std", "static", "dynamic")
 REDUCTION_RATIO = 4.0 / 3.0
+
+_CONV_FIELDS = ("in_channels", "out_channels", "kernel_size", "stride", "padding")
+# the fields each op reads, and the only ones its JSON form carries
+_LAYER_FIELDS = {
+    "conv": _CONV_FIELDS,
+    "gmconv-static": _CONV_FIELDS + ("sigma_init",),
+    "gmconv-dynamic": _CONV_FIELDS + ("sigma_init", "pattern"),
+    "relu": (),
+    "pool": ("pool_mode",),
+    "dense": ("in_features", "out_features"),
+    "block": ("stride",),
+}
 
 
 @dataclass(frozen=True)
@@ -68,12 +91,30 @@ class LayerSpec:
     inner: tuple["LayerSpec", ...] = ()
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.op not in ALL_OPS:
             raise ValueError(f"unknown layer op {self.op!r}")
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}")
-        if self.op == "block" and len(self.inner) != 2:
-            raise ValueError("a block holds exactly two conv descriptors")
+        if len(self.inner) != (2 if self.op == "block" else 0):
+            raise ValueError("a block holds exactly two conv descriptors; no other op holds any")
+        for name in _LAYER_FIELDS[self.op]:
+            value = getattr(self, name)
+            if name == "sigma_init":
+                # a dynamic layer's predicted widths never fall below G_FLOOR
+                floor = G_FLOOR if self.op == "gmconv-dynamic" else 0.0
+                if not floor < value < math.inf:
+                    raise ValueError(f"{self.op} sigma_init must be a number > {floor}, got {value}")
+            elif name == "pattern":
+                if value not in PATTERNS:
+                    raise ValueError(f"unknown pattern {value!r}, expected one of {PATTERNS}")
+            elif name == "pool_mode":
+                if value not in ("avg", "max"):
+                    raise ValueError(f"unknown pool mode {value!r}")
+            else:
+                low = 0 if name == "padding" else 1
+                if value < low:
+                    raise ValueError(f"{self.op} {name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +125,39 @@ class ModelSpec:
     layers: tuple[LayerSpec, ...]
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         check_spec(self)
+
+
+def check_field_types(obj, error: type[Exception] = ValueError) -> None:
+    """Raise `error` unless every field of the dataclass `obj` holds its
+    annotated type. An int field takes no float and a float field takes
+    ints, but neither takes a bool; tuples are checked item by item."""
+    for name, hint in _type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if not _conforms(value, hint):
+            kind = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise error(f"{name} must be {kind}, got {value!r}")
+
+
+@cache  # get_type_hints takes ~0.3 ms, and every LayerSpec is checked
+def _type_hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _conforms(value, hint) -> bool:
+    args = typing.get_args(hint)
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if args:  # a union such as `X | None`
+        return any(_conforms(value, a) for a in args)
+    return isinstance(value, hint)
 
 
 @dataclass(frozen=True)
@@ -98,10 +171,13 @@ class ConvPolicy:
     pattern: str = "sigma_pair"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.stem_mode not in MODES or self.body_mode not in MODES:
             raise ValueError(f"modes must be one of {MODES}")
         if self.sigma_init <= 0:
             raise ValueError(f"sigma_init must be positive, got {self.sigma_init}")
+        if self.pattern not in PATTERNS:
+            raise ValueError(f"unknown pattern {self.pattern!r}, expected one of {PATTERNS}")
 
 
 def _conv_out(hw: tuple[int, int], k: int, stride: int, padding: int) -> tuple[int, int]:
@@ -113,49 +189,20 @@ def _conv_out(hw: tuple[int, int], k: int, stride: int, padding: int) -> tuple[i
     return ho, wo
 
 
-def check_spec(spec: ModelSpec) -> None:
-    """Statically verify that consecutive layer shapes compose and the
-    spec ends in exactly one dense head."""
+def _walk_spec(spec: ModelSpec):
+    """Check that consecutive layer shapes compose and that the spec ends
+    in exactly one dense head, yielding (descriptor, output positions) for
+    every conv and dense descriptor in execution order, blocks expanded.
+    A conv's output positions are Ho * Wo; a dense layer's are 1."""
     c, h, w = spec.input_shape
     spatial: tuple[int, int] | None = (h, w)
     features: int | None = None
     heads = 0
     for i, layer in enumerate(spec.layers):
         where = f"layer {i} ({layer.op})"
-        if layer.op in CONV_OPS:
-            if spatial is None:
-                raise ValueError(f"{where}: convolution after spatial collapse")
-            if layer.in_channels != c:
-                raise ValueError(f"{where}: expects {layer.in_channels} channels, has {c}")
-            spatial = _conv_out(spatial, layer.kernel_size, layer.stride, layer.padding)
-            c = layer.out_channels
-        elif layer.op == "block":
-            if spatial is None:
-                raise ValueError(f"{where}: block after spatial collapse")
-            c1, c2 = layer.inner
-            if c1.op not in CONV_OPS or c2.op not in CONV_OPS:
-                raise ValueError(f"{where}: block inner ops must be convs")
-            if c1.in_channels != c or c2.in_channels != c1.out_channels:
-                raise ValueError(f"{where}: block channels do not compose")
-            if c2.out_channels != c1.out_channels:
-                raise ValueError(f"{where}: block convs must share output width")
-            if c1.stride not in (1, 2) or c2.stride != 1:
-                raise ValueError(f"{where}: block strides must be (1|2, 1)")
-            if c1.out_channels < c:
-                raise ValueError(f"{where}: shortcut cannot shrink channels")
-            spatial = _conv_out(spatial, c1.kernel_size, c1.stride, c1.padding)
-            spatial = _conv_out(spatial, c2.kernel_size, c2.stride, c2.padding)
-            c = c1.out_channels
-        elif layer.op == "relu":
-            pass
-        elif layer.op == "pool":
-            if spatial is None:
-                raise ValueError(f"{where}: pool after spatial collapse")
-            if layer.pool_mode not in ("avg", "max"):
-                raise ValueError(f"{where}: unknown pool mode {layer.pool_mode!r}")
-            spatial = None
-            features = c
-        elif layer.op == "dense":
+        if layer.op == "relu":
+            continue
+        if layer.op == "dense":
             if features is None:
                 raise ValueError(f"{where}: dense requires pooled features")
             if layer.in_features != features:
@@ -163,14 +210,47 @@ def check_spec(spec: ModelSpec) -> None:
                     f"{where}: expects {layer.in_features} features, has {features}"
                 )
             features = layer.out_features
-            if layer.role == "head":
-                heads += 1
+            heads += layer.role == "head"
+            yield layer, 1
+            continue
+        if spatial is None:
+            raise ValueError(f"{where}: {layer.op} after spatial collapse")
+        if layer.op == "pool":
+            spatial, features = None, c
+            continue
+        if layer.op == "block":
+            c1, c2 = layer.inner
+            if c1.op not in CONV_OPS or c2.op not in CONV_OPS:
+                raise ValueError(f"{where}: block inner ops must be convs")
+            if c2.out_channels != c1.out_channels:
+                raise ValueError(f"{where}: block convs must share output width")
+            if c1.stride not in (1, 2) or c2.stride != 1:
+                raise ValueError(f"{where}: block strides must be (1|2, 1)")
+            if layer.stride != c1.stride:
+                raise ValueError(
+                    f"{where}: block stride {layer.stride} is not its first conv's stride {c1.stride}"
+                )
+            if c1.out_channels < c:
+                raise ValueError(f"{where}: shortcut cannot shrink channels")
+        for conv in layer.inner if layer.op == "block" else (layer,):
+            if conv.in_channels != c:
+                raise ValueError(f"{where}: expects {conv.in_channels} channels, has {c}")
+            spatial = _conv_out(spatial, conv.kernel_size, conv.stride, conv.padding)
+            c = conv.out_channels
+            yield conv, spatial[0] * spatial[1]
     if heads != 1:
         raise ValueError(f"spec must contain exactly one head dense layer, found {heads}")
     if features != spec.num_classes:
         raise ValueError(
             f"final feature count {features} does not match num_classes {spec.num_classes}"
         )
+
+
+def check_spec(spec: ModelSpec) -> None:
+    """Statically verify that consecutive layer shapes compose and the
+    spec ends in exactly one dense head."""
+    for _ in _walk_spec(spec):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +374,9 @@ def apply_policy(spec: ModelSpec, policy: ConvPolicy) -> ModelSpec:
         if layer.role == "head":
             return layer
         mode = policy.stem_mode if layer.role == "stem" else policy.body_mode
-        new_op = _MODE_TO_OP[mode]
-        if new_op == "gmconv-dynamic" and layer.in_channels < 1:
-            raise ValueError("dynamic mode needs at least one input channel")
         return replace(
             layer,
-            op=new_op,
+            op=_MODE_TO_OP[mode],
             sigma_init=policy.sigma_init,
             pattern=policy.pattern,
         )
@@ -311,71 +388,27 @@ def apply_policy(spec: ModelSpec, policy: ConvPolicy) -> ModelSpec:
 # accounting
 
 
-def _dynamic_module_sizes(c: int, pattern: str) -> tuple[int, int, int]:
-    hidden = math.floor(2 * c / REDUCTION_RATIO)
-    arity = 1 if pattern == "sigma" else 2
-    return hidden * 2 * c, arity * hidden, arity
-
-
-def _conv_params(layer: LayerSpec) -> int:
-    base = layer.out_channels * layer.in_channels * layer.kernel_size**2 + layer.out_channels
-    if layer.op == "gmconv-static":
-        return base + 1
-    if layer.op == "gmconv-dynamic":
-        return base + sum(_dynamic_module_sizes(layer.in_channels, layer.pattern))
-    return base
-
-
-def _unblocked(spec: ModelSpec):
-    """The spec's layers in execution order with each block replaced by its
-    two convs; its shortcut carries no parameters and no MACs."""
-    for layer in spec.layers:
-        yield from layer.inner if layer.op == "block" else (layer,)
-
-
 def count_params(spec: ModelSpec) -> int:
-    """Exact learnable-parameter count of a spec."""
-    total = 0
-    for layer in _unblocked(spec):
-        if layer.op in CONV_OPS:
-            total += _conv_params(layer)
-        elif layer.op == "dense":
-            total += layer.out_features * layer.in_features + layer.out_features
-    return total
+    """Exact learnable-parameter count of a spec: the parameter size of
+    the model it builds."""
+    model = Model(spec, np.random.default_rng(0))
+    return sum(t.data.size for _, t in model.named_parameters())
 
 
-def count_flops(spec: ModelSpec, input_shape: tuple[int, int, int] | None = None) -> int:
+def count_flops(spec: ModelSpec) -> int:
     """Multiply-accumulate count for one sample through conv and dense
     layers (mask application, pooling, and activations are not counted)."""
-    _, h, w = spec.input_shape if input_shape is None else input_shape
-    spatial: tuple[int, int] | None = (h, w)
     total = 0
-    for layer in _unblocked(spec):
-        if layer.op in CONV_OPS:
-            spatial = _conv_out(spatial, layer.kernel_size, layer.stride, layer.padding)
-            taps = layer.in_channels * layer.kernel_size**2
-            total += layer.out_channels * taps * spatial[0] * spatial[1]
-        elif layer.op == "pool":
-            spatial = None
-        elif layer.op == "dense":
+    for layer, positions in _walk_spec(spec):
+        if layer.op == "dense":
             total += layer.out_features * layer.in_features
+        else:
+            total += layer.out_channels * layer.in_channels * layer.kernel_size**2 * positions
     return total
 
 
 # ---------------------------------------------------------------------------
 # JSON round-trip
-
-
-_CONV_FIELDS = ("in_channels", "out_channels", "kernel_size", "stride", "padding")
-_LAYER_FIELDS = {
-    "conv": _CONV_FIELDS,
-    "gmconv-static": _CONV_FIELDS + ("sigma_init",),
-    "gmconv-dynamic": _CONV_FIELDS + ("sigma_init", "pattern"),
-    "relu": (),
-    "pool": ("pool_mode",),
-    "dense": ("in_features", "out_features"),
-    "block": ("stride",),
-}
 
 
 def _layer_to_dict(layer: LayerSpec) -> dict:
@@ -414,7 +447,7 @@ def spec_from_json(text: str) -> ModelSpec:
     try:
         return ModelSpec(
             name=doc["name"],
-            num_classes=int(doc["num_classes"]),
+            num_classes=doc["num_classes"],
             input_shape=tuple(doc["input_shape"]),
             layers=tuple(_layer_from_dict(l) for l in doc["layers"]),
         )
@@ -459,24 +492,23 @@ class _DenseOp:
 
 class _ResidualBlock:
     """Two 3x3 convs with an identity shortcut. A stride-2 first conv
-    pairs with a parameter-free subsample-and-zero-pad shortcut."""
+    pairs with a parameter-free subsample-and-zero-pad shortcut. Stride
+    and widths are read from the convs and the input."""
 
     children = ("conv1", "conv2")
 
-    def __init__(self, conv1, conv2, in_channels: int, out_channels: int, stride: int):
+    def __init__(self, conv1, conv2):
         self.conv1 = conv1
         self.conv2 = conv2
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.stride = stride
 
     def forward(self, x, tape=None):
         h = relu(self.conv1.forward(x, tape), tape)
         h = self.conv2.forward(h, tape)
-        if self.stride == 1 and self.in_channels == self.out_channels:
+        out_channels = self.conv1.weight.data.shape[0]
+        if self.conv1.stride == 1 and x.data.shape[1] == out_channels:
             shortcut = x
         else:
-            shortcut = downsample_pad(x, self.out_channels, tape)
+            shortcut = downsample_pad(x, out_channels, tape)
         return relu(add(h, shortcut, tape), tape)
 
     def param_items(self):
@@ -485,27 +517,25 @@ class _ResidualBlock:
 
 def _he_conv_weight(rng: np.random.Generator, o: int, c: int, k: int) -> Tensor:
     std = math.sqrt(2.0 / (c * k * k))
-    return Tensor(rng.normal(0.0, std, size=(o, c, k, k)), requires_grad=True)
+    return Tensor(rng.normal(0.0, std, size=(o, c, k, k)))
 
 
 def _build_conv_module(layer: LayerSpec, rng: np.random.Generator):
     o, c, k = layer.out_channels, layer.in_channels, layer.kernel_size
     w = _he_conv_weight(rng, o, c, k)
-    b = Tensor(np.zeros(o), requires_grad=True)
+    b = Tensor(np.zeros(o))
     if layer.op == "conv":
         return Conv2dLayer(w, b, layer.stride, layer.padding)
     if layer.op == "gmconv-static":
         return StaticGMConvLayer(w, b, layer.sigma_init, layer.stride, layer.padding)
-    if layer.op == "gmconv-dynamic":
-        module = DynamicSigmaModule(
-            c,
-            r=REDUCTION_RATIO,
-            pattern=layer.pattern,
-            sigma_init=layer.sigma_init,
-            rng=rng,
-        )
-        return DynamicGMConvLayer(w, b, module, layer.stride, layer.padding)
-    raise ValueError(f"not a conv op: {layer.op}")
+    module = DynamicSigmaModule(
+        c,
+        r=REDUCTION_RATIO,
+        pattern=layer.pattern,
+        sigma_init=layer.sigma_init,
+        rng=rng,
+    )
+    return DynamicGMConvLayer(w, b, module, layer.stride, layer.padding)
 
 
 class Model:
@@ -533,29 +563,15 @@ class Model:
                 # aligned across conv policies.
                 c1.weight.data *= num_blocks**-0.5
                 c2.weight.data[:] = 0.0
-                self.modules.append(
-                    _ResidualBlock(
-                        c1,
-                        c2,
-                        layer.inner[0].in_channels,
-                        layer.inner[0].out_channels,
-                        layer.inner[0].stride,
-                    )
-                )
+                self.modules.append(_ResidualBlock(c1, c2))
             elif layer.op == "relu":
                 self.modules.append(_ReluOp())
             elif layer.op == "pool":
                 self.modules.append(_GlobalPoolOp(layer.pool_mode))
-            elif layer.op == "dense":
+            else:  # dense
                 std = math.sqrt(2.0 / layer.in_features)
-                w = Tensor(
-                    rng.normal(0.0, std, size=(layer.out_features, layer.in_features)),
-                    requires_grad=True,
-                )
-                b = Tensor(np.zeros(layer.out_features), requires_grad=True)
-                self.modules.append(_DenseOp(w, b))
-            else:
-                raise ValueError(f"unknown layer op {layer.op!r}")
+                w = Tensor(rng.normal(0.0, std, size=(layer.out_features, layer.in_features)))
+                self.modules.append(_DenseOp(w, Tensor(np.zeros(layer.out_features))))
 
     def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
         h = x

@@ -8,9 +8,10 @@ tensors, and a closure that maps the output adjoint to input adjoints.
 sums adjoint contributions when a tensor feeds several ops.
 
 Every op is a module-level function taking an optional ``tape`` keyword;
-with ``tape=None`` it is a pure forward evaluation. ``requires_grad`` is a
-marker used by optimizers to select trainable parameters; adjoints are
-propagated to every input regardless, since intermediates need them.
+with ``tape=None`` it is a pure forward evaluation. Tensors carry no
+trainable flag: the optimizer updates the parameters a model lists by
+name (``Model.named_parameters``), and adjoints are propagated to every
+input, since intermediates need them.
 
 Convolution runs through im2col (window unfold then matrix multiply), with
 one forward and one gradient routine for ``conv2d`` and ``conv2d_per_sample``.
@@ -51,28 +52,17 @@ class Tensor:
     and is filled by `GradTape.backward` with an array of the same shape.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data):
         # asarray with order="C" copies into C layout when needed but,
         # unlike ascontiguousarray, keeps 0-d scalars 0-d
         arr = np.asarray(data, dtype=np.float64, order="C")
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self.name = name
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def __repr__(self) -> str:
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor{tag}(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 class GradTape:

@@ -34,6 +34,7 @@ from .models import (
     Model,
     apply_policy,
     build_model,
+    check_field_types,
     spec_to_json,
 )
 from .tensor import GradTape, Tensor, softmax_cross_entropy
@@ -76,6 +77,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self, ConfigError)
         if self.dataset not in DATASET_IDS:
             raise ConfigError(f"unknown dataset {self.dataset!r}, expected one of {DATASET_IDS}")
         if self.augment not in AUGMENT_MODES:
@@ -126,7 +128,7 @@ def config_from_json(text: str) -> TrainConfig:
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}; known keys are {sorted(_CONFIG_KEYS)}")
 
-    kwargs = dict(raw)
+    kwargs = {key: _tuples(value) for key, value in raw.items()}
     if "policy" in kwargs:
         pol = kwargs["policy"]
         if not isinstance(pol, dict):
@@ -135,22 +137,12 @@ def config_from_json(text: str) -> TrainConfig:
         if bad:
             raise ConfigError(f"unknown policy keys {bad}; known keys are {list(_POLICY_KEYS)}")
         kwargs["policy"] = ConvPolicy(**pol)
-    if "milestones" in kwargs:
-        kwargs["milestones"] = tuple(int(m) for m in kwargs["milestones"])
-    if "image_shape" in kwargs:
-        shape = tuple(int(s) for s in kwargs["image_shape"])
-        if len(shape) != 3:
-            raise ConfigError(f"image_shape must have 3 entries, got {list(shape)}")
-        kwargs["image_shape"] = shape
-    if kwargs.get("normalization") is not None:
-        norm = kwargs["normalization"]
-        if not (isinstance(norm, (list, tuple)) and len(norm) == 2):
-            raise ConfigError("normalization must be [mean_per_channel, std_per_channel]")
-        kwargs["normalization"] = (
-            tuple(float(v) for v in norm[0]),
-            tuple(float(v) for v in norm[1]),
-        )
     return TrainConfig(**kwargs)
+
+
+def _tuples(value):
+    """A JSON value with every list, nested ones included, as a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def load_config(path: str) -> TrainConfig:
@@ -198,23 +190,19 @@ def effective_lr(config: TrainConfig, epoch: int) -> float:
 
 
 def split_source(config: TrainConfig, split: str) -> DatasetSource:
+    """The split's source; its count is the subset cap of a file dataset
+    and the sample count of the synthetic one."""
     count = config.train_subset if split == "train" else config.test_subset
-    if config.dataset == "synthetic":
-        return DatasetSource(
-            "synthetic",
-            split=split,
-            normalization=config.normalization,
-            num_samples=count,
-            num_classes=config.num_classes,
-            image_shape=config.image_shape,
-            seed=config.seed,
-        )
     return DatasetSource(
         config.dataset,
         root=config.data_root,
         split=split,
         normalization=config.normalization,
         subset=count,
+        num_samples=count,
+        num_classes=config.num_classes,
+        image_shape=config.image_shape,
+        seed=config.seed,
     )
 
 

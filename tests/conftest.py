@@ -1,11 +1,28 @@
-"""Suite-wide wiring: acceptance summary lines.
+"""Suite-wide wiring: a deterministic Hypothesis profile and acceptance
+summary lines.
 
-After any run that touched tests/test_acceptance.py, one line per
-criterion is printed with its PASS / FAIL / SKIP outcome so the gate can
-be read without scrolling through pytest output.
+Property tests draw from a derandomized profile with no example database,
+so every run tries the same examples. Hypothesis still caches its unicode
+table and the source constants it mines on disk; that cache goes to the
+system temp directory, so a run writes no `.hypothesis/` directory into
+the checkout. After any run that touched tests/test_acceptance.py, one line
+per criterion is printed with its PASS / FAIL / SKIP outcome so the gate
+can be read without scrolling through pytest output.
 """
 
+import os
 import re
+import tempfile
+
+from hypothesis import settings
+
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "gmconv-hypothesis")
+)
+settings.register_profile(
+    "deterministic", derandomize=True, deadline=None, database=None, max_examples=200
+)
+settings.load_profile("deterministic")
 
 CRITERIA = {
     1: "mask oracle equivalence, 200 random configs within 1e-12, < 1 s",

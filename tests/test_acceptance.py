@@ -180,8 +180,8 @@ def test_criterion_04():
     agree within 1e-12 on 100 random inputs for each kernel size."""
     rng = np.random.default_rng(200)
     for k in (3, 5, 11):
-        w = Tensor(rng.normal(size=(4, 3, k, k)), requires_grad=True)
-        b = Tensor(rng.normal(size=4), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, k, k)))
+        b = Tensor(rng.normal(size=4))
         layer = StaticGMConvLayer(w, b, sigma=float(rng.uniform(0.5, 8.0)),
                                   padding=k // 2)
         x = Tensor(rng.normal(size=(100, 3, 12, 12)))
@@ -212,15 +212,15 @@ def test_criterion_05():
             want = num_grad(loss_value, t.data, h=1e-5)
             assert rel_err(t.grad, want) < 1e-4, name
 
-    w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=3), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+    b = Tensor(rng.normal(size=3))
     static = StaticGMConvLayer(w, b, sigma=1.3, padding=1)
     check_layer(static, Tensor(rng.normal(size=(2, 2, 6, 6))),
                 rng.normal(size=(2, 3, 6, 6)))
 
     for pattern in ("sigma", "sigma_pair", "sigma_ratio"):
-        w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=3), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        b = Tensor(rng.normal(size=3))
         mod = DynamicSigmaModule(2, pattern=pattern, rng=rng)
         layer = DynamicGMConvLayer(w, b, mod, padding=1)
         check_layer(layer, Tensor(rng.normal(size=(2, 2, 5, 5))),

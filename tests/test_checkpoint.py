@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gmconv.checkpoint import (
     Checkpoint,
@@ -16,8 +18,20 @@ from gmconv.checkpoint import (
     save_checkpoint,
 )
 from gmconv.data import DataError
-from gmconv.models import ConvPolicy, Model, apply_policy, build_model, spec_to_json
+from gmconv.layers import PATTERNS
+from gmconv.models import (
+    ALL_OPS,
+    ROLES,
+    ConvPolicy,
+    LayerSpec,
+    Model,
+    ModelSpec,
+    apply_policy,
+    build_model,
+    spec_to_json,
+)
 from gmconv.tensor import Tensor
+from util import mutated_header
 
 
 def small_model(policy=None, seed=11):
@@ -186,3 +200,64 @@ def test_header_is_canonical_json(tmp_path):
     for rec in header["tensors"]:
         assert rec["offset"] == running
         running += 8 * int(np.prod(rec["shape"], dtype=np.int64)) if rec["shape"] else 8
+
+
+@pytest.fixture(scope="module")
+def every_op_checkpoint(tmp_path_factory):
+    """A saved model whose spec holds every op: a dynamic stem, relu, a
+    stride-2 block of a static and a plain conv, max pool and a dense head.
+    Returns its bytes, the key path of every spec and layer field in its
+    header, and a scratch path."""
+    layers = (
+        LayerSpec(op="gmconv-dynamic", role="stem", in_channels=3, out_channels=4,
+                  kernel_size=3, padding=1, pattern="sigma_ratio"),
+        LayerSpec(op="relu", role="stem"),
+        LayerSpec(op="block", role="body", stride=2, inner=(
+            LayerSpec(op="gmconv-static", role="body", in_channels=4, out_channels=6,
+                      kernel_size=3, stride=2, padding=1),
+            LayerSpec(op="conv", role="body", in_channels=6, out_channels=6,
+                      kernel_size=3, padding=1),
+        )),
+        LayerSpec(op="pool", role="head", pool_mode="max"),
+        LayerSpec(op="dense", role="head", in_features=6, out_features=3),
+    )
+    model = Model(ModelSpec("every-op", 3, (3, 8, 8), layers), np.random.default_rng(0))
+    root = tmp_path_factory.mktemp("every-op")
+    path = root / "model.ckpt"
+    save_checkpoint(checkpoint_from_model(model), str(path))
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+
+    def field_paths(layers, prefix):
+        for i, layer in enumerate(layers):
+            yield from (prefix + (i, key) for key in layer)
+            yield from field_paths(layer.get("inner", []), prefix + (i, "inner"))
+
+    spec = json.loads(raw[8 : 8 + hlen])["spec"]
+    paths = [("spec", key) for key in spec] + list(field_paths(spec["layers"], ("spec", "layers")))
+    return raw, paths, root / "bad.ckpt"
+
+
+SUBSTITUTES = st.one_of(
+    st.integers(-3, 12),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.sampled_from(ALL_OPS + ROLES + PATTERNS + ("avg", "max")),
+)
+
+
+@given(data=st.data())
+def test_any_spec_field_substitution_restores_or_is_a_data_error(every_op_checkpoint, data):
+    """Any one field of a saved spec or of one of its layers replaced by
+    an int, float, bool, string or null (negatives included): the
+    checkpoint either loads and restores, or is refused with a DataError."""
+    raw, paths, bad = every_op_checkpoint
+    where = data.draw(st.sampled_from(paths), label="field")
+    value = data.draw(SUBSTITUTES, label="value")
+    bad.write_bytes(mutated_header(raw, where, value))
+    try:
+        restore_model(load_checkpoint(str(bad)))
+    except DataError:
+        pass

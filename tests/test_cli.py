@@ -3,7 +3,7 @@
 import importlib
 import json
 import math
-import struct
+import os
 import subprocess
 import sys
 
@@ -17,6 +17,9 @@ from gmconv.masks import read_grid_csv
 from gmconv.models import ConvPolicy, Model, apply_policy, build_model
 from gmconv.tensor import Tensor
 from gmconv.train import TrainConfig, config_to_json, split_source
+from util import DELETE, mutated_header
+
+SMOKE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic-smoke.json")
 
 TINY = TrainConfig(
     model="cnn-small",
@@ -183,6 +186,35 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "optimzer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("milestones", 5),
+            ("milestones", [1.5]),
+            ("epochs", "3"),
+            ("batch_size", 1.5),
+            ("num_classes", 2.5),
+            ("image_shape", 5),
+            ("lr", None),
+            ("seed", "a"),
+            ("normalization", [1, 2]),
+            ("width", True),
+            ("policy.sigma_init", "5"),
+            ("policy.pattern", "bogus"),
+        ],
+    )
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value):
+        """One field of the shipped smoke config set to a value of the
+        wrong type or outside its choices: a config error, no traceback."""
+        with open(SMOKE_CONFIG, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        owner, _, field = key.rpartition(".")
+        (doc[owner] if owner else doc)[field] = value
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestEvalCommand:
     def test_accuracy_matches_training_log(self, trained, capsys):
@@ -279,8 +311,6 @@ class TestMaskDumpCommand:
             assert (out / entry["pgm"]).exists()
 
 
-DELETE = object()
-
 # (path into the header, new value); DELETE removes the key
 HEADER_MUTATIONS = [
     ((), []),
@@ -306,38 +336,45 @@ HEADER_MUTATIONS = [
     (("spec", "layers", 0, "op"), DELETE),
     (("spec", "layers"), DELETE),
     (("spec", "input_shape"), 7),
+    (("spec", "layers", 0, "kernel_size"), 3.0),
+    (("spec", "layers", 0, "padding"), -1),
+    (("spec", "layers", 0, "sigma_init"), "5"),
+    (("spec", "layers", 0, "sigma_init"), -1),
+    (("spec", "layers", 9, "out_features"), 10.0),
 ]
 
-
-def _mutated_header(raw, path, value):
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8 : 8 + hlen])
-    if path:
-        owner = header
-        for key in path[:-1]:
-            owner = owner[key]
-        if value is DELETE:
-            del owner[path[-1]]
-        else:
-            owner[path[-1]] = value
-    else:
-        header = value
-    text = json.dumps(header).encode("utf-8")
-    return raw[:4] + struct.pack("<I", len(text)) + text + raw[8 + hlen :]
+# mutations of a saved resnet20-slim, whose spec has residual blocks:
+# a block whose stride is not its first conv's stride
+BLOCK_MUTATIONS = [
+    (("spec", "layers", 2, "stride"), 2),
+    (("spec", "layers", 5, "inner", 0, "stride"), 1),
+]
 
 
 def _mutation_id(path, value):
     return ("/".join(map(str, path)) or "header") + ("=del" if value is DELETE else f"={value!r}")
 
 
+@pytest.fixture(scope="module")
+def resnet(tmp_path_factory):
+    spec = apply_policy(build_model("resnet20-slim", 10, width=0.25), ConvPolicy("static", "static"))
+    path = tmp_path_factory.mktemp("resnet") / "last.ckpt"
+    save_checkpoint(checkpoint_from_model(Model(spec, np.random.default_rng(0))), str(path))
+    return {"ckpt": str(path)}
+
+
 @pytest.mark.parametrize(
-    "path,value", HEADER_MUTATIONS, ids=[_mutation_id(p, v) for p, v in HEADER_MUTATIONS]
+    "source,path,value",
+    [("trained", p, v) for p, v in HEADER_MUTATIONS] + [("resnet", p, v) for p, v in BLOCK_MUTATIONS],
+    ids=[_mutation_id(p, v) for p, v in HEADER_MUTATIONS]
+    + ["resnet:" + _mutation_id(p, v) for p, v in BLOCK_MUTATIONS],
 )
-def test_malformed_checkpoint_header_exits_3(trained, tmp_path, capsys, path, value):
-    with open(trained["ckpt"], "rb") as fh:
+def test_malformed_checkpoint_header_exits_3(request, tmp_path, capsys, source, path, value):
+    with open(request.getfixturevalue(source)["ckpt"], "rb") as fh:
         raw = fh.read()
+    capsys.readouterr()  # drop what the fixture's training run printed
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(_mutated_header(raw, path, value))
+    bad.write_bytes(mutated_header(raw, path, value))
     rc = main(["mask-dump", "--ckpt", str(bad), "--out", str(tmp_path / "masks")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: ")

@@ -28,14 +28,14 @@ from util import num_grad
 
 
 def make_static(rng, o=2, c=3, k=3, sigma=5.0, stride=1, padding=1):
-    w = Tensor(rng.normal(size=(o, c, k, k)), requires_grad=True)
-    b = Tensor(rng.normal(size=o), requires_grad=True)
+    w = Tensor(rng.normal(size=(o, c, k, k)))
+    b = Tensor(rng.normal(size=o))
     return StaticGMConvLayer(w, b, sigma=sigma, stride=stride, padding=padding)
 
 
 def make_dynamic(rng, o=2, c=3, k=3, pattern="sigma_pair", stride=1, padding=1):
-    w = Tensor(rng.normal(size=(o, c, k, k)), requires_grad=True)
-    b = Tensor(rng.normal(size=o), requires_grad=True)
+    w = Tensor(rng.normal(size=(o, c, k, k)))
+    b = Tensor(rng.normal(size=o))
     mod = DynamicSigmaModule(c, pattern=pattern, rng=rng)
     return DynamicGMConvLayer(w, b, mod, stride=stride, padding=padding)
 

@@ -47,7 +47,7 @@ class TestBuilders:
         14155776 + 12976128 + 12976128 (stages) + 640 (head) =
         40551040, within 5% of the 42M reference."""
         spec = build_model("resnet20-slim", 10)
-        f = count_flops(spec, (3, 32, 32))
+        f = count_flops(spec)
         assert f == 40_551_040
         assert abs(f - 42_000_000) / 42_000_000 < 0.05
 

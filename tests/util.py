@@ -1,4 +1,7 @@
-"""Shared numeric helpers for the test suite."""
+"""Shared numeric and checkpoint helpers for the test suite."""
+
+import json
+import struct
 
 import numpy as np
 
@@ -58,3 +61,26 @@ def copy_shared_params(src_model, dst_model):
     for name, t in dst_model.named_parameters():
         if name in src:
             t.data[...] = src[name].data
+
+
+DELETE = object()
+
+
+def mutated_header(raw, path, value):
+    """Checkpoint bytes `raw` with the header entry at `path` (a key path
+    into the JSON header; empty for the whole header) set to `value`, or
+    removed when `value` is DELETE."""
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + hlen])
+    if path:
+        owner = header
+        for key in path[:-1]:
+            owner = owner[key]
+        if value is DELETE:
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = value
+    else:
+        header = value
+    text = json.dumps(header).encode("utf-8")
+    return raw[:4] + struct.pack("<I", len(text)) + text + raw[8 + hlen :]
