@@ -230,14 +230,18 @@ def _walk_spec(spec: ModelSpec):
                 raise ValueError(
                     f"{where}: block stride {layer.stride} is not its first conv's stride {c1.stride}"
                 )
-            if c1.out_channels < c:
-                raise ValueError(f"{where}: shortcut cannot shrink channels")
+            if c1.out_channels < c or (c1.stride == 1 and c1.out_channels != c):
+                raise ValueError(f"{where}: shortcut cannot map {c} to {c1.out_channels} channels")
+            # the identity keeps (H, W); downsample_pad keeps every other pixel
+            shortcut = spatial if c1.stride == 1 else ((spatial[0] + 1) // 2, (spatial[1] + 1) // 2)
         for conv in layer.inner if layer.op == "block" else (layer,):
             if conv.in_channels != c:
                 raise ValueError(f"{where}: expects {conv.in_channels} channels, has {c}")
             spatial = _conv_out(spatial, conv.kernel_size, conv.stride, conv.padding)
             c = conv.out_channels
             yield conv, spatial[0] * spatial[1]
+        if layer.op == "block" and spatial != shortcut:
+            raise ValueError(f"{where}: branch output {spatial} does not match shortcut {shortcut}")
     if heads != 1:
         raise ValueError(f"spec must contain exactly one head dense layer, found {heads}")
     if features != spec.num_classes:
@@ -504,11 +508,10 @@ class _ResidualBlock:
     def forward(self, x, tape=None):
         h = relu(self.conv1.forward(x, tape), tape)
         h = self.conv2.forward(h, tape)
-        out_channels = self.conv1.weight.data.shape[0]
-        if self.conv1.stride == 1 and x.data.shape[1] == out_channels:
+        if self.conv1.stride == 1:  # the spec check keeps a stride-1 block's width
             shortcut = x
         else:
-            shortcut = downsample_pad(x, out_channels, tape)
+            shortcut = downsample_pad(x, self.conv1.weight.data.shape[0], tape)
         return relu(add(h, shortcut, tape), tape)
 
     def param_items(self):

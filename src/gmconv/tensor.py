@@ -13,10 +13,11 @@ trainable flag: the optimizer updates the parameters a model lists by
 name (``Model.named_parameters``), and adjoints are propagated to every
 input, since intermediates need them.
 
-Convolution runs through im2col (window unfold then matrix multiply), with
-one forward and one gradient routine for ``conv2d`` and ``conv2d_per_sample``.
-The direct-loop references are kept as internal oracles; the two paths must
-agree to near machine precision.
+Convolution runs through im2col: the window unfold gives channel-major
+columns, N x (C*K*K) x (Ho*Wo), so the weight GEMM yields N x O x Ho x Wo
+with no layout change. ``conv2d`` and ``conv2d_per_sample`` share one
+forward and one gradient routine. The direct-loop references are kept as
+internal oracles; the two paths must agree to near machine precision.
 """
 
 from __future__ import annotations
@@ -154,53 +155,52 @@ def _conv_checks(x: np.ndarray, w: np.ndarray, b, stride: int, padding: int):
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int, ho: int, wo: int):
-    """Unfold padded input into a (N*Ho*Wo, C*K*K) matrix of receptive fields."""
+    """Unfold padded input into channel-major columns, N x (C*K*K) x (Ho*Wo):
+    row c*K*K + i*K + j holds tap (i, j) of channel c at every output position."""
     n, c = x.shape[0], x.shape[1]
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * k * k)
-    return np.ascontiguousarray(cols)
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, ho * wo)
 
 
 def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, padding: int, ho: int, wo: int):
-    """Scatter column adjoints back onto the (padded) input grid."""
+    """Add each tap's contiguous N x C x Ho x Wo adjoint onto the padded grid."""
     n, c, h, w = x_shape
     dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-    dwin = dcols.reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    dwin = dcols.reshape(n, c, k, k, ho, wo)
     for ki in range(k):
         for kj in range(k):
             dxp[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += dwin[
-                :, :, :, :, ki, kj
+                :, :, ki, kj
             ]
     return dxp[:, :, padding : padding + h, padding : padding + w]
 
 
 def _conv_forward(xd, wd, bdat, stride: int, padding: int, ho: int, wo: int) -> np.ndarray:
-    """im2col then one GEMM for an O x C x K x K weight, or a batched GEMM
-    (one per sample) for an N x O x C x K x K weight."""
+    """`W @ cols` on channel-major columns: an O x C x K x K weight broadcasts
+    over the batch, an N x O x C x K x K one pairs with its sample."""
     lead, (o, c, k, _) = wd.shape[:-4], wd.shape[-4:]
-    cols = _im2col(xd, k, stride, padding, ho, wo).reshape(*lead, -1, c * k * k)
-    flat = cols @ wd.reshape(*lead, o, c * k * k).swapaxes(-1, -2)
+    out = wd.reshape(*lead, o, c * k * k) @ _im2col(xd, k, stride, padding, ho, wo)
     if bdat is not None:
-        flat += bdat
-    return flat.reshape(-1, ho, wo, o).transpose(0, 3, 1, 2)
+        out += bdat[:, None]
+    return out.reshape(-1, o, ho, wo)
 
 
 def _conv_grads(g: np.ndarray, xd, wd, has_bias: bool, stride: int, padding: int):
     """(dx, dw, db) of `_conv_forward` for the output adjoint g; db is None
     without a bias."""
-    _, o, ho, wo = g.shape
+    n, o, ho, wo = g.shape
     lead, (c, k) = wd.shape[:-4], wd.shape[-3:-1]
-    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(*lead, -1, o)
+    gmat = g.reshape(n, o, ho * wo)
     # columns are recomputed here rather than kept alive in the closure;
     # trades one unfold for a much smaller live set
-    cols = _im2col(xd, k, stride, padding, ho, wo).reshape(*lead, -1, c * k * k)
-    dw = (gmat.swapaxes(-1, -2) @ cols).reshape(wd.shape)
-    dcols = (gmat @ wd.reshape(*lead, o, c * k * k)).reshape(-1, c * k * k)
+    dw = gmat @ _im2col(xd, k, stride, padding, ho, wo).swapaxes(-1, -2)
+    dw = (dw if lead else dw.sum(axis=0)).reshape(wd.shape)
+    dcols = wd.reshape(*lead, o, c * k * k).swapaxes(-1, -2) @ gmat
     dx = _col2im(dcols, xd.shape, k, stride, padding, ho, wo)
-    db = gmat.reshape(-1, o).sum(axis=0) if has_bias else None
+    db = g.sum(axis=(0, 2, 3)) if has_bias else None
     return dx, dw, db
 
 

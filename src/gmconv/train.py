@@ -107,6 +107,12 @@ class TrainConfig:
             raise ConfigError(f"milestones must be strictly increasing, got {ms}")
         if any(m < 1 or m >= self.epochs for m in ms):
             raise ConfigError(f"milestones must lie in [1, epochs), got {ms}")
+        if self.normalization is not None:
+            (mean, std), c = self.normalization, self.image_shape[0]
+            if len(mean) != c or len(std) != c:
+                raise ConfigError(f"normalization needs {c} means and {c} stds, got {mean}, {std}")
+            if not all(0 < s < float("inf") for s in std):
+                raise ConfigError(f"normalization stds must be finite and > 0, got {std}")
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(TrainConfig))

@@ -201,11 +201,14 @@ class TestTrainCommand:
             ("width", True),
             ("policy.sigma_init", "5"),
             ("policy.pattern", "bogus"),
+            ("normalization", [[0, 0, 0], [0, 1, 1]]),
+            ("normalization", [[0, 0], [1, 1]]),
         ],
     )
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value):
         """One field of the shipped smoke config set to a value of the
-        wrong type or outside its choices: a config error, no traceback."""
+        wrong type, outside its choices or range: a config error (not a
+        data error), no traceback."""
         with open(SMOKE_CONFIG, encoding="utf-8") as fh:
             doc = json.load(fh)
         owner, _, field = key.rpartition(".")
@@ -343,11 +346,17 @@ HEADER_MUTATIONS = [
     (("spec", "layers", 9, "out_features"), 10.0),
 ]
 
-# mutations of a saved resnet20-slim, whose spec has residual blocks:
-# a block whose stride is not its first conv's stride
+# mutations of a saved resnet20-slim, whose spec has residual blocks, each
+# a list of header edits: a block whose stride is not its first conv's
+# stride, and branches that keep every parameter shape but cannot be added
+# to their shortcut (a padding that moves the identity's or the subsampled
+# size; a stride-1 block that widens 4 -> 8 channels)
 BLOCK_MUTATIONS = [
-    (("spec", "layers", 2, "stride"), 2),
-    (("spec", "layers", 5, "inner", 0, "stride"), 1),
+    [(("spec", "layers", 2, "stride"), 2)],
+    [(("spec", "layers", 5, "inner", 0, "stride"), 1)],
+    [(("spec", "layers", 3, "inner", 1, "padding"), 2)],
+    [(("spec", "layers", 8, "inner", 0, "padding"), 0)],
+    [(("spec", "layers", 5, "stride"), 1), (("spec", "layers", 5, "inner", 0, "stride"), 1)],
 ]
 
 
@@ -364,17 +373,19 @@ def resnet(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "source,path,value",
-    [("trained", p, v) for p, v in HEADER_MUTATIONS] + [("resnet", p, v) for p, v in BLOCK_MUTATIONS],
-    ids=[_mutation_id(p, v) for p, v in HEADER_MUTATIONS]
-    + ["resnet:" + _mutation_id(p, v) for p, v in BLOCK_MUTATIONS],
+    "source,edits",
+    [("trained", [m]) for m in HEADER_MUTATIONS] + [("resnet", m) for m in BLOCK_MUTATIONS],
+    ids=[_mutation_id(*m) for m in HEADER_MUTATIONS]
+    + ["resnet:" + "&".join(_mutation_id(*e) for e in m) for m in BLOCK_MUTATIONS],
 )
-def test_malformed_checkpoint_header_exits_3(request, tmp_path, capsys, source, path, value):
+def test_malformed_checkpoint_header_exits_3(request, tmp_path, capsys, source, edits):
     with open(request.getfixturevalue(source)["ckpt"], "rb") as fh:
         raw = fh.read()
     capsys.readouterr()  # drop what the fixture's training run printed
+    for path, value in edits:
+        raw = mutated_header(raw, path, value)
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(mutated_header(raw, path, value))
+    bad.write_bytes(raw)
     rc = main(["mask-dump", "--ckpt", str(bad), "--out", str(tmp_path / "masks")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: ")

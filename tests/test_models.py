@@ -142,6 +142,37 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ModelSpec("bad", 2, (8, 8, 8), layers)
 
+    @staticmethod
+    def _one_block(c, hw, width, stride, k, padding):
+        inner = (
+            LayerSpec(op="conv", role="body", in_channels=c, out_channels=width,
+                      kernel_size=k, stride=stride, padding=padding),
+            LayerSpec(op="conv", role="body", in_channels=width, out_channels=width,
+                      kernel_size=3, stride=1, padding=1),
+        )
+        layers = (
+            LayerSpec(op="block", role="body", stride=stride, inner=inner),
+            LayerSpec(op="pool", role="head"),
+            LayerSpec(op="dense", role="head", in_features=width, out_features=2),
+        )
+        return ModelSpec("block", 2, (c, *hw), layers)
+
+    @pytest.mark.parametrize(
+        "width,stride,k,padding",
+        [(8, 1, 3, 1), (4, 1, 3, 2), (4, 1, 2, 0), (8, 2, 3, 0)],
+        ids=["stride1-widens", "padding-grows", "even-kernel-shrinks", "stride2-unpadded"],
+    )
+    def test_block_branch_must_match_its_shortcut(self, width, stride, k, padding):
+        with pytest.raises(ValueError, match="shortcut"):
+            self._one_block(4, (8, 8), width, stride, k, padding)
+
+    @pytest.mark.parametrize("hw", [(7, 9), (8, 5)])
+    def test_stride2_block_on_odd_sizes_runs(self, hw):
+        """downsample_pad keeps ceil(H/2) x ceil(W/2), as a padded stride-2 conv does."""
+        model = Model(self._one_block(4, hw, 8, 2, 3, 1), np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).standard_normal((2, 4, *hw)))
+        assert model.forward(x).data.shape == (2, 2)
+
 
 class TestPolicy:
     def test_identity_policy_keeps_spec(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gmconv.tensor import (
     GradTape,
@@ -183,6 +185,52 @@ class TestPerSampleConv:
     def test_batch_mismatch_rejected(self):
         with pytest.raises(ValueError):
             conv2d_per_sample(Tensor(np.zeros((2, 1, 4, 4))), Tensor(np.zeros((3, 1, 1, 3, 3))))
+
+
+@st.composite
+def conv_cases(draw):
+    """A random conv geometry (H != W allowed; K even or odd, up to the
+    padded extent) and a seed for its arrays."""
+    n, c, o = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, wdt = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    s, p = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    k = draw(st.integers(1, min(5, h + 2 * p, wdt + 2 * p)))
+    geometry = (n, c, h, wdt, o, k, s, p)
+    return geometry, draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@given(conv_cases())
+def test_random_conv_geometry_matches_the_oracle(case):
+    """Forward against the direct loop to 1e-12; backward through the
+    adjoint identities <g, conv(x, w)> = <dx, x> = <dw, w> to 1e-12 of
+    <|g|, conv(|x|, |w|)>, which bounds every term of the three sums,
+    and db = g.sum((0, 2, 3)). Shared and per-sample kernels, with and
+    without a bias."""
+    (n, c, h, wdt, o, k, s, p), per_sample, has_bias, seed = case
+    if per_sample:
+        op, ref = conv2d_per_sample, conv2d_per_sample_reference
+    else:
+        op, ref = conv2d, conv2d_reference
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c, h, wdt))
+    w = rng.normal(size=(n, o, c, k, k) if per_sample else (o, c, k, k))
+    b = rng.normal(size=o) if has_bias else None
+
+    tape = GradTape()
+    tx, tw, tb = Tensor(x), Tensor(w), None if b is None else Tensor(b)
+    y = op(tx, tw, tb, stride=s, padding=p, tape=tape)
+    out = y.data
+    assert np.max(np.abs(out - ref(x, w, b, stride=s, padding=p))) < 1e-12
+
+    g = rng.normal(size=out.shape)
+    tape.backward(y, seed=g)
+    conv_part = out if b is None else out - b[:, None, None]
+    lhs = float(np.sum(g * conv_part))
+    scale = float(np.sum(np.abs(g) * ref(np.abs(x), np.abs(w), None, stride=s, padding=p)))
+    assert abs(float(np.sum(tx.grad * x)) - lhs) <= 1e-12 * scale
+    assert abs(float(np.sum(tw.grad * w)) - lhs) <= 1e-12 * scale
+    if b is not None:
+        np.testing.assert_allclose(tb.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
 
 
 class TestGlobalPool:
