@@ -77,7 +77,6 @@ from .train import (
     evaluate_model,
     load_config,
     metrics_to_csv,
-    train,
 )
 
 __version__ = "0.1.0"
@@ -141,6 +140,5 @@ __all__ = [
     "evaluate_model",
     "load_config",
     "metrics_to_csv",
-    "train",
     "__version__",
 ]

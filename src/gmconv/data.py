@@ -100,8 +100,10 @@ def load_dataset(src: DatasetSource) -> tuple[np.ndarray, np.ndarray]:
                 f"normalization stats need one entry per channel "
                 f"({images.shape[1]}), got {mean.shape} and {std.shape}"
             )
-        if np.any(std <= 0):
-            raise DataError("normalization std must be positive")
+        if not np.all(np.isfinite(mean)):
+            raise DataError("normalization means must be finite")
+        if not np.all(np.isfinite(std) & (std > 0)):
+            raise DataError("normalization stds must be finite and positive")
         images = (images - mean[:, None, None]) / std[:, None, None]
     return images, labels.astype(np.int64)
 

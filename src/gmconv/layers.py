@@ -102,7 +102,7 @@ def _mask_scale(weight: Tensor, sigma: Tensor, tape: GradTape | None) -> Tensor:
 
     def backward(g: np.ndarray):
         dw = g * m
-        dsig = np.float64(np.sum(g * wd * dm))
+        dsig = np.asarray(np.sum(g * wd * dm))
         return dw, dsig
 
     tape.record(out, (weight, sigma), backward)

@@ -5,7 +5,9 @@ numpy array plus a gradient slot, and a GradTape keeps an ordered log of
 executed ops. Each op appends one record holding the output, the input
 tensors, and a closure that maps the output adjoint to input adjoints.
 ``GradTape.backward`` replays the log in exact reverse execution order and
-sums adjoint contributions when a tensor feeds several ops.
+consumes it: a tape serves one backward pass. Adjoint contributions of a
+tensor that feeds several ops are summed out of place, never copied, so a
+``.grad`` array is read-only and may share memory with another.
 
 Every op is a module-level function taking an optional ``tape`` keyword;
 with ``tape=None`` it is a pure forward evaluation. Tensors carry no
@@ -49,8 +51,9 @@ __all__ = [
 class Tensor:
     """A shaped buffer of float64 values plus a gradient slot.
 
-    `data` is always a C-contiguous float64 ndarray. `grad` starts as None
-    and is filled by `GradTape.backward` with an array of the same shape.
+    `data` is always a C-contiguous float64 ndarray. `grad` starts as None;
+    `GradTape.backward` leaves a same-shape array there on each tensor no
+    op on its tape produced. It is read-only and may share memory.
     """
 
     __slots__ = ("data", "grad")
@@ -67,12 +70,13 @@ class Tensor:
 
 
 class GradTape:
-    """Ordered log of executed ops for one forward pass.
+    """Ordered log of executed ops for one forward pass; single-use.
 
     Each record is (out, inputs, backward_fn). backward_fn receives the
     adjoint of `out` and returns one adjoint (or None) per input, in
-    order. An absent bias is recorded as a None input and gets no adjoint.
-    Records are replayed newest-first by `backward`.
+    order; it must not write into the adjoint it receives. An absent bias
+    is recorded as a None input and gets no adjoint. `backward` pops the
+    records newest-first, so it leaves the tape empty.
     """
 
     def __init__(self) -> None:
@@ -82,21 +86,18 @@ class GradTape:
         self.records.append((out, inputs, backward_fn))
 
     def backward(self, out: Tensor, seed: np.ndarray | None = None) -> None:
-        """Propagate adjoints from `out` back through every recorded op.
-
-        All gradient slots of tensors touched by this tape are reset
-        first, so repeated backward calls do not leak stale adjoints.
-        The seed defaults to ones (for a scalar loss: adjoint 1).
+        """Propagate adjoints from `out` back through every recorded op,
+        freeing each op output's adjoint once its record is replayed. Record
+        inputs start at `.grad = None`, so a parameter shared across tapes
+        carries no stale adjoint. The seed defaults to ones (for a scalar
+        loss: adjoint 1). A second call on the emptied tape raises.
         """
-        touched: dict[int, Tensor] = {}
-        for rec_out, rec_inputs, _ in self.records:
-            touched[id(rec_out)] = rec_out
+        if not self.records:
+            raise RuntimeError("backward needs a recorded tape; each tape is used up by one call")
+        for _, rec_inputs, _ in self.records:
             for t in rec_inputs:
                 if t is not None:
-                    touched[id(t)] = t
-        for t in touched.values():
-            t.grad = None
-
+                    t.grad = None
         if seed is None:
             out.grad = np.ones_like(out.data)
         else:
@@ -107,18 +108,15 @@ class GradTape:
                 )
             out.grad = seed.copy()
 
-        for rec_out, rec_inputs, backward_fn in reversed(self.records):
-            g = rec_out.grad
+        while self.records:
+            rec_out, rec_inputs, backward_fn = self.records.pop()
+            g, rec_out.grad = rec_out.grad, None
             if g is None:
                 continue
-            input_grads = backward_fn(g)
-            for t, ig in zip(rec_inputs, input_grads):
-                if ig is None:
-                    continue
-                if t.grad is None:
-                    t.grad = np.array(ig, dtype=np.float64)
-                else:
-                    t.grad += ig
+            for t, ig in zip(rec_inputs, backward_fn(g)):
+                # out of place: `add` hands one array to both of its inputs
+                if ig is not None:
+                    t.grad = ig if t.grad is None else t.grad + ig
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,8 @@ class TrainConfig:
             (mean, std), c = self.normalization, self.image_shape[0]
             if len(mean) != c or len(std) != c:
                 raise ConfigError(f"normalization needs {c} means and {c} stds, got {mean}, {std}")
+            if not np.all(np.isfinite(mean)):
+                raise ConfigError(f"normalization means must be finite, got {mean}")
             if not all(0 < s < float("inf") for s in std):
                 raise ConfigError(f"normalization stds must be finite and > 0, got {std}")
 

@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, outputs, cross-command agreement."""
 
-import importlib
 import json
 import math
 import os
@@ -10,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import gmconv.train as train_module
 from gmconv.checkpoint import checkpoint_from_model, load_checkpoint, restore_model, save_checkpoint
 from gmconv.cli import main
 from gmconv.data import load_dataset
@@ -158,7 +158,6 @@ class TestTrainCommand:
         assert "error" in capsys.readouterr().err
 
     def test_diverged_sigma_exits_1_with_crash_checkpoint(self, tmp_path, monkeypatch, capsys):
-        train_module = importlib.import_module("gmconv.train")  # gmconv.train is also a function
         real_step = train_module.sgd_step
 
         def nan_sigma(params, *args):
@@ -203,6 +202,8 @@ class TestTrainCommand:
             ("policy.pattern", "bogus"),
             ("normalization", [[0, 0, 0], [0, 1, 1]]),
             ("normalization", [[0, 0], [1, 1]]),
+            ("normalization", [[math.nan, 0, 0], [1, 1, 1]]),
+            ("normalization", [[math.inf, 0, 0], [1, 1, 1]]),
         ],
     )
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value):
@@ -235,6 +236,26 @@ class TestEvalCommand:
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         assert main(["eval", "--ckpt", str(tmp_path / "no.ckpt")]) == 3
+
+    @pytest.mark.parametrize(
+        "mean,std",
+        [
+            ("0,0", "1,1"),
+            ("0,0,0", "0,1,1"),
+            ("0,0,0", "nan,1,1"),
+            ("0,0,0", "inf,1,1"),
+            ("nan,0,0", "1,1,1"),
+        ],
+    )
+    def test_bad_normalization_exits_3(self, trained, capsys, mean, std):
+        """Stats with the wrong count, a zero std or a non-finite entry are
+        a data error, not an accuracy."""
+        rc = main([
+            "eval", "--ckpt", trained["ckpt"], "--dataset", "synthetic",
+            "--mean", mean, "--std", std,
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_mean_without_std_exits_2(self, trained, capsys):
         rc = main([

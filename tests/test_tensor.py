@@ -504,14 +504,43 @@ class TestTapeMechanics:
         np.testing.assert_array_equal(x.grad, 2.0 * x.data)
         assert y.grad is None
 
-    def test_backward_resets_stale_grads(self):
-        x = Tensor(np.array([2.0]))
+    def test_backward_consumes_the_tape(self):
+        """One backward empties the tape and frees every op output's
+        adjoint; leaves keep theirs, and the tape cannot be replayed."""
+        x = Tensor(np.array([2.0, -1.0]))
         tape = GradTape()
-        out = mul(x, x, tape)
+        sq = mul(x, x, tape)
+        out = tsum(sq, tape)
         tape.backward(out)
-        first = x.grad.copy()
-        tape.backward(out)
-        np.testing.assert_array_equal(x.grad, first)
+        assert tape.records == []
+        assert sq.grad is None and out.grad is None
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+        with pytest.raises(RuntimeError):
+            tape.backward(out)
+
+    def test_each_tape_starts_from_zero_adjoints(self):
+        """A leaf shared by two tapes gets the second tape's adjoint alone,
+        not the sum of both."""
+        x = Tensor(np.array([2.0, -1.0]))
+        grads = []
+        for _ in range(2):
+            tape = GradTape()
+            tape.backward(tsum(mul(x, x, tape), tape))
+            grads.append(x.grad)
+        np.testing.assert_array_equal(grads[1], grads[0])
+
+    def test_accumulation_into_a_shared_adjoint(self):
+        """add hands one array to both inputs, so a's first adjoint is b's
+        too; adding c into it in place would corrupt b's adjoint."""
+        a = Tensor(np.array([1.0, 2.0]))
+        b = Tensor(np.array([3.0, 4.0]))
+        c = Tensor(np.array([5.0, -6.0]))
+        tape = GradTape()
+        z = mul(a, c, tape)
+        y = add(a, b, tape)
+        tape.backward(tsum(add(z, y, tape), tape))
+        np.testing.assert_array_equal(b.grad, np.ones(2))
+        np.testing.assert_array_equal(a.grad, 1.0 + c.data)
 
     def test_seed_shape_checked(self):
         x = Tensor(np.array([1.0, 2.0]))

@@ -1,12 +1,12 @@
 """Training loop, schedules, metrics, and evaluation."""
 
-import importlib
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import gmconv.train as train_module
 from gmconv.checkpoint import load_checkpoint, restore_model
 from gmconv.data import DataError, load_dataset
 from gmconv.masks import SIGMA_MAX, SIGMA_MIN
@@ -281,7 +281,6 @@ class TestDivergenceAbort:
         """A NaN loss at epoch 2, batch 1, or a NaN sigma after the step of
         epoch 2, batch 0, aborts at that step; crash.ckpt then equals the
         last.ckpt written at the end of epoch 1 byte for byte."""
-        train_module = importlib.import_module("gmconv.train")  # gmconv.train is also a function
         calls = []
         real_loss, real_step = train_module.softmax_cross_entropy, train_module.sgd_step
 
