@@ -35,7 +35,6 @@ from .layers import (
 )
 from .masks import (
     GaussianMask,
-    MaskParams,
     SIGMA_MAX,
     SIGMA_MIN,
     circular_mask,
@@ -43,7 +42,6 @@ from .masks import (
     clamp_sigma,
     elliptic_mask,
     elliptic_values,
-    export_mask,
 )
 from .models import (
     ConvPolicy,
@@ -104,7 +102,6 @@ __all__ = [
     "StaticGMConvLayer",
     "fold_mask",
     "GaussianMask",
-    "MaskParams",
     "SIGMA_MAX",
     "SIGMA_MIN",
     "circular_mask",
@@ -112,7 +109,6 @@ __all__ = [
     "clamp_sigma",
     "elliptic_mask",
     "elliptic_values",
-    "export_mask",
     "ConvPolicy",
     "LayerSpec",
     "Model",

@@ -3,8 +3,8 @@
 Subcommands cover the whole workflow: train a config, evaluate or fold
 a checkpoint, probe effective receptive fields, and dump or generate
 mask grids. Exit codes: 0 success, 1 runtime failure (diverged
-training), 2 configuration or usage error, 3 data error (missing or
-malformed files).
+training), 2 configuration or usage error, 3 data or file error
+(malformed files; missing, unreadable or unwritable ones).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .checkpoint import checkpoint_from_model, load_checkpoint, restore_model, save_checkpoint
 from .data import DATASET_IDS, DataError, DatasetSource
 from .erf import dump_layer_masks, erf_radius, estimate_erf
-from .masks import circular_mask, elliptic_mask, export_mask, write_grid_csv, write_grid_pgm
+from .masks import circular_mask, elliptic_mask, write_grid_csv, write_grid_pgm
 from .train import ConfigError, evaluate, load_config, metrics_to_csv, train
 
 
@@ -107,8 +107,7 @@ def cmd_eval(args) -> int:
         root=args.data,
         split=args.split,
         normalization=norm,
-        subset=args.subset,
-        num_samples=args.subset or 1000,
+        num_samples=args.subset,
         num_classes=ckpt.spec.num_classes,
         image_shape=ckpt.spec.input_shape,
         seed=args.seed,
@@ -174,8 +173,8 @@ def cmd_mask_gen(args) -> int:
         for row in mask.values:
             sys.stdout.write(",".join("%.17g" % v for v in row) + "\n")
         return 0
-    fmt = "pgm" if args.out.endswith(".pgm") else "csv"
-    export_mask(mask, args.out, fmt)
+    write = write_grid_pgm if args.out.endswith(".pgm") else write_grid_csv
+    write(mask.values, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -189,7 +188,7 @@ def main(argv=None) -> int:
         return int(code) if code else 0
     try:
         return args.func(args)
-    except DataError as err:
+    except (DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except FloatingPointError as err:

@@ -31,17 +31,18 @@ class DatasetSource:
     """Where data comes from and how to prepare it.
 
     `normalization`, when set, is (mean, std) per channel applied after
-    the [0, 1] scaling. The synthetic generator ignores `root` and uses
-    the seed/shape fields instead; file readers ignore those fields.
+    the [0, 1] scaling. `num_samples` caps a file dataset at its first N
+    records (0 keeps every record) and sizes the synthetic one (0 means
+    1000). The synthetic generator ignores `root` and uses the seed/shape
+    fields instead; file readers ignore those fields.
     """
 
     id: str
     root: str = ""
     split: str = "train"
     normalization: tuple[tuple[float, ...], tuple[float, ...]] | None = None
-    subset: int = 0  # 0 = everything, else the first N records
+    num_samples: int = 0
     # synthetic-only knobs
-    num_samples: int = 1000
     num_classes: int = 10
     image_shape: tuple[int, int, int] = (3, 32, 32)
     seed: int = 0
@@ -51,15 +52,15 @@ class DatasetSource:
             raise ValueError(f"unknown dataset id {self.id!r}, expected one of {DATASET_IDS}")
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be train or test, got {self.split!r}")
-        if self.subset < 0:
-            raise ValueError("subset must be >= 0")
+        if self.num_samples < 0:
+            raise ValueError("num_samples must be >= 0")
 
 
 def load_dataset(src: DatasetSource) -> tuple[np.ndarray, np.ndarray]:
     """Load a full split as (images, labels), scaled and normalized."""
     if src.id == "synthetic":
         images, labels = make_synthetic(
-            src.num_samples, src.num_classes, src.image_shape, src.seed, src.split
+            src.num_samples or 1000, src.num_classes, src.image_shape, src.seed, src.split
         )
     elif src.id in ("cifar10-bin", "cifar100-bin"):
         label_bytes = 1 if src.id == "cifar10-bin" else 2
@@ -88,9 +89,9 @@ def load_dataset(src: DatasetSource) -> tuple[np.ndarray, np.ndarray]:
     else:  # pragma: no cover - DatasetSource validates ids
         raise DataError(f"unknown dataset id {src.id!r}")
 
-    if src.subset:
-        images = images[: src.subset]
-        labels = labels[: src.subset]
+    if src.num_samples:
+        images = images[: src.num_samples]
+        labels = labels[: src.num_samples]
     if src.normalization is not None:
         mean, std = src.normalization
         mean = np.asarray(mean, dtype=np.float64)

@@ -146,8 +146,8 @@ def dump_layer_masks(model, out_dir: str) -> dict:
                 sigma1_zero_input=sig1,
                 sigma2_zero_input=sig2,
             )
-        masks.export_mask(mask, os.path.join(out_dir, entry["csv"]), "csv")
-        masks.export_mask(mask, os.path.join(out_dir, entry["pgm"]), "pgm")
+        masks.write_grid_csv(mask.values, os.path.join(out_dir, entry["csv"]))
+        masks.write_grid_pgm(mask.values, os.path.join(out_dir, entry["pgm"]))
         entries.append(entry)
     manifest = {"model": model.spec.name, "layers": entries}
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:

@@ -41,6 +41,7 @@ PATTERNS = ("sigma", "sigma_pair", "sigma_ratio")
 # floor of the positivity map g(t) = softplus(t) + GMIN; keeps predicted
 # widths strictly positive and the map smooth everywhere
 G_FLOOR = 0.1
+REDUCTION_RATIO = 4.0 / 3.0
 
 
 def softplus_inverse(y: float) -> float:
@@ -200,7 +201,7 @@ class DynamicSigmaModule:
 
     The descriptor z is the concatenation of global max and average pools,
     length 2C. The head is raw = W1 @ relu(W0 @ z) + B1 with hidden width
-    floor(2C / r). Three prediction patterns:
+    floor(2C / REDUCTION_RATIO). Three prediction patterns:
 
     * "sigma": one output, sigma1 = sigma2 = g(raw[0])
     * "sigma_pair": sigma1 = g(raw[0]), sigma2 = g(raw[1])
@@ -214,30 +215,24 @@ class DynamicSigmaModule:
     def __init__(
         self,
         in_channels: int,
-        r: float = 4.0 / 3.0,
+        rng: np.random.Generator,
         pattern: str = "sigma_pair",
         sigma_init: float = 5.0,
-        rng: np.random.Generator | None = None,
     ):
         if pattern not in PATTERNS:
             raise ValueError(f"unknown pattern {pattern!r}, expected one of {PATTERNS}")
         if in_channels < 1:
             raise ValueError(f"in_channels must be positive, got {in_channels}")
-        if r <= 0:
-            raise ValueError(f"reduction ratio must be positive, got {r}")
         if sigma_init <= G_FLOOR:
             raise ValueError(f"sigma_init must exceed {G_FLOOR}, got {sigma_init}")
         self.in_channels = in_channels
-        self.r = float(r)
         self.pattern = pattern
-        hidden = math.floor(2 * in_channels / r)
-        if hidden < 1:
-            raise ValueError(f"reduction ratio {r} leaves no hidden units for C={in_channels}")
+        # 2C / REDUCTION_RATIO = 1.5 C, so C >= 1 leaves at least one unit
+        hidden = math.floor(2 * in_channels / REDUCTION_RATIO)
         self.hidden = hidden
         arity = 1 if pattern == "sigma" else 2
         self.arity = arity
 
-        rng = rng if rng is not None else np.random.default_rng()
         lim0 = 1.0 / math.sqrt(2 * in_channels)
         lim1 = 1.0 / math.sqrt(hidden)
         self.w0 = Tensor(rng.uniform(-lim0, lim0, size=(hidden, 2 * in_channels)))

@@ -27,8 +27,6 @@ import numpy as np
 SIGMA_MIN = 1e-3
 SIGMA_MAX = 1e6
 
-_KINDS = ("circular", "elliptic")
-
 
 def _clamp(sigma: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(np.abs(sigma), SIGMA_MIN), SIGMA_MAX)
@@ -53,42 +51,26 @@ def clamp_sigma(sigma: float) -> float:
     return float(_clamp(_one(sigma))[0])
 
 
-def _check_kernel_size(kernel_size: int) -> int:
-    k = int(kernel_size)
-    if k < 1:
-        raise ValueError(f"kernel_size must be >= 1, got {kernel_size}")
-    return k
-
-
 @dataclass(frozen=True)
-class MaskParams:
-    """Parameters that produced a mask: kind, widths, and grid size."""
+class GaussianMask:
+    """A realized mask: the K x K value grid, its kind ("circular" or
+    "elliptic") and the clamped widths behind it."""
 
+    values: np.ndarray
     kind: str
     sigma1: float
     sigma2: float
-    kernel_size: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown mask kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class GaussianMask:
-    """A realized mask: the K x K value grid plus the parameters behind it."""
-
-    values: np.ndarray
-    params: MaskParams
 
     @property
     def kernel_size(self) -> int:
-        return self.params.kernel_size
+        return self.values.shape[0]
 
 
 def _offsets(kernel_size: int) -> np.ndarray:
     """1D cell offsets from the center at (K-1)/2; half-integers for even K."""
-    k = _check_kernel_size(kernel_size)
+    k = int(kernel_size)
+    if k < 1:
+        raise ValueError(f"kernel_size must be >= 1, got {kernel_size}")
     return np.arange(k, dtype=np.float64) - (k - 1) / 2.0
 
 
@@ -191,36 +173,18 @@ def elliptic_grad_batch(
 def circular_mask(sigma: float, kernel_size: int) -> GaussianMask:
     """Build a circular mask object; sigma is recorded after clamping."""
     s = clamp_sigma(sigma)
-    vals = circular_values(sigma, kernel_size)
-    params = MaskParams("circular", s, s, _check_kernel_size(kernel_size))
-    return GaussianMask(vals, params)
+    return GaussianMask(circular_values(sigma, kernel_size), "circular", s, s)
 
 
 def elliptic_mask(sigma1: float, sigma2: float, kernel_size: int) -> GaussianMask:
     """Build an elliptic mask object; sigmas are recorded after clamping."""
-    s1 = clamp_sigma(sigma1)
-    s2 = clamp_sigma(sigma2)
     vals = elliptic_values(sigma1, sigma2, kernel_size)
-    params = MaskParams("elliptic", s1, s2, _check_kernel_size(kernel_size))
-    return GaussianMask(vals, params)
-
-
-def export_mask(mask: GaussianMask, path: str, fmt: str = "csv") -> None:
-    """Write a mask grid to disk as CSV or 16-bit ASCII PGM.
-
-    CSV cells use the %.17g format so values round-trip bit-exactly through
-    text. PGM output is the P2 variant with maxval 65535; each cell is
-    round(value * 65535), which is lossy by design (preview format).
-    """
-    if fmt == "csv":
-        write_grid_csv(mask.values, path)
-    elif fmt == "pgm":
-        write_grid_pgm(mask.values, path)
-    else:
-        raise ValueError(f"unknown export format {fmt!r} (expected 'csv' or 'pgm')")
+    return GaussianMask(vals, "elliptic", clamp_sigma(sigma1), clamp_sigma(sigma2))
 
 
 def write_grid_csv(grid: np.ndarray, path: str) -> None:
+    """Write a 2D grid as CSV; cells use the %.17g format, so values
+    round-trip bit-exactly through text."""
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError(f"expected a 2D grid, got shape {g.shape}")
@@ -247,6 +211,8 @@ def read_grid_csv(path: str) -> np.ndarray:
 
 
 def write_grid_pgm(grid: np.ndarray, path: str) -> None:
+    """Write a [0, 1] grid as 16-bit ASCII PGM (P2, maxval 65535); each
+    cell is round(value * 65535), lossy by design (a preview format)."""
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError(f"expected a 2D grid, got shape {g.shape}")

@@ -50,7 +50,6 @@ CONV_OPS = ("conv", "gmconv-static", "gmconv-dynamic")
 ALL_OPS = CONV_OPS + ("relu", "pool", "dense", "block")
 ROLES = ("stem", "body", "head")
 MODES = ("std", "static", "dynamic")
-REDUCTION_RATIO = 4.0 / 3.0
 
 _CONV_FIELDS = ("in_channels", "out_channels", "kernel_size", "stride", "padding")
 # the fields each op reads, and the only ones its JSON form carries
@@ -103,7 +102,7 @@ class LayerSpec:
             if name == "sigma_init":
                 # a dynamic layer's predicted widths never fall below G_FLOOR
                 floor = G_FLOOR if self.op == "gmconv-dynamic" else 0.0
-                if not floor < value < math.inf:
+                if value <= floor:
                     raise ValueError(f"{self.op} sigma_init must be a number > {floor}, got {value}")
             elif name == "pattern":
                 if value not in PATTERNS:
@@ -132,7 +131,8 @@ class ModelSpec:
 def check_field_types(obj, error: type[Exception] = ValueError) -> None:
     """Raise `error` unless every field of the dataclass `obj` holds its
     annotated type. An int field takes no float and a float field takes
-    ints, but neither takes a bool; tuples are checked item by item."""
+    ints, but neither takes a bool; a float field takes only values that
+    convert to a finite float; tuples are checked item by item."""
     for name, hint in _type_hints(type(obj)).items():
         value = getattr(obj, name)
         if not _conforms(value, hint):
@@ -148,7 +148,12 @@ def _type_hints(cls) -> dict:
 def _conforms(value, hint) -> bool:
     args = typing.get_args(hint)
     if hint in (int, float):
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+        if isinstance(value, bool) or not isinstance(value, (int, hint)):
+            return False
+        try:
+            return hint is int or math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            return False
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, tuple):
             return False
@@ -531,13 +536,7 @@ def _build_conv_module(layer: LayerSpec, rng: np.random.Generator):
         return Conv2dLayer(w, b, layer.stride, layer.padding)
     if layer.op == "gmconv-static":
         return StaticGMConvLayer(w, b, layer.sigma_init, layer.stride, layer.padding)
-    module = DynamicSigmaModule(
-        c,
-        r=REDUCTION_RATIO,
-        pattern=layer.pattern,
-        sigma_init=layer.sigma_init,
-        rng=rng,
-    )
+    module = DynamicSigmaModule(c, rng, pattern=layer.pattern, sigma_init=layer.sigma_init)
     return DynamicGMConvLayer(w, b, module, layer.stride, layer.padding)
 
 
@@ -548,8 +547,7 @@ class Model:
     fixed seed fully determines the initialization.
     """
 
-    def __init__(self, spec: ModelSpec, rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng()
+    def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         self.spec = spec
         self.modules: list = []
         num_blocks = max(1, sum(1 for l in spec.layers if l.op == "block"))

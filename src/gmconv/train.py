@@ -52,8 +52,9 @@ class TrainConfig:
 
     `train_subset`/`test_subset` cap the split sizes (0 keeps every
     record of a file dataset); for the synthetic dataset they are the
-    generated sample counts. Milestones are 1-based epoch numbers; an
-    epoch equal to a milestone already runs at the decayed rate.
+    generated sample counts. Images take the model's input shape.
+    Milestones are 1-based epoch numbers; an epoch equal to a milestone
+    already runs at the decayed rate.
     """
 
     model: str = "resnet20-slim"
@@ -65,7 +66,6 @@ class TrainConfig:
     normalization: tuple[tuple[float, ...], tuple[float, ...]] | None = None
     train_subset: int = 5000
     test_subset: int = 1000
-    image_shape: tuple[int, int, int] = (3, 32, 32)
     augment: str = "none"
     epochs: int = 20
     batch_size: int = 128
@@ -107,14 +107,8 @@ class TrainConfig:
             raise ConfigError(f"milestones must be strictly increasing, got {ms}")
         if any(m < 1 or m >= self.epochs for m in ms):
             raise ConfigError(f"milestones must lie in [1, epochs), got {ms}")
-        if self.normalization is not None:
-            (mean, std), c = self.normalization, self.image_shape[0]
-            if len(mean) != c or len(std) != c:
-                raise ConfigError(f"normalization needs {c} means and {c} stds, got {mean}, {std}")
-            if not np.all(np.isfinite(mean)):
-                raise ConfigError(f"normalization means must be finite, got {mean}")
-            if not all(0 < s < float("inf") for s in std):
-                raise ConfigError(f"normalization stds must be finite and > 0, got {std}")
+        if self.normalization is not None and not all(s > 0 for s in self.normalization[1]):
+            raise ConfigError(f"normalization stds must be > 0, got {self.normalization[1]}")
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(TrainConfig))
@@ -198,18 +192,22 @@ def effective_lr(config: TrainConfig, epoch: int) -> float:
 
 
 def split_source(config: TrainConfig, split: str) -> DatasetSource:
-    """The split's source; its count is the subset cap of a file dataset
-    and the sample count of the synthetic one."""
-    count = config.train_subset if split == "train" else config.test_subset
+    """The split's source, shaped like the configured model's input; its
+    count is the subset cap of a file dataset and the sample count of the
+    synthetic one. Normalization stats must match the model's channels."""
+    shape = build_model(config.model, config.num_classes, config.width).input_shape
+    if config.normalization is not None:
+        (mean, std), c = config.normalization, shape[0]
+        if len(mean) != c or len(std) != c:
+            raise ConfigError(f"normalization needs {c} means and {c} stds, got {mean}, {std}")
     return DatasetSource(
         config.dataset,
         root=config.data_root,
         split=split,
         normalization=config.normalization,
-        subset=count,
-        num_samples=count,
+        num_samples=config.train_subset if split == "train" else config.test_subset,
         num_classes=config.num_classes,
-        image_shape=config.image_shape,
+        image_shape=shape,
         seed=config.seed,
     )
 

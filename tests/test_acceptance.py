@@ -234,8 +234,7 @@ def test_criterion_06():
     96-unit hidden layer; the head emits 1, 2, 2 values for the three
     patterns."""
     for pattern, arity in (("sigma", 1), ("sigma_pair", 2), ("sigma_ratio", 2)):
-        mod = DynamicSigmaModule(64, r=4.0 / 3.0, pattern=pattern,
-                                 rng=np.random.default_rng(0))
+        mod = DynamicSigmaModule(64, pattern=pattern, rng=np.random.default_rng(0))
         assert mod.hidden == 96
         assert mod.arity == arity
         assert mod.w0.data.shape == (96, 128)

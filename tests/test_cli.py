@@ -29,7 +29,6 @@ TINY = TrainConfig(
     dataset="synthetic",
     train_subset=64,
     test_subset=32,
-    image_shape=(3, 32, 32),
     epochs=1,
     batch_size=32,
     lr=0.05,
@@ -93,6 +92,11 @@ class TestMaskGen:
 
     def test_bad_kernel_size(self, capsys):
         assert main(["mask-gen", "--sigma", "1", "--k", "0"]) == 2
+
+    def test_unwritable_out_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "m.csv"
+        assert main(["mask-gen", "--sigma", "1", "--k", "3", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestUsageErrors:
@@ -204,6 +208,12 @@ class TestTrainCommand:
             ("normalization", [[0, 0], [1, 1]]),
             ("normalization", [[math.nan, 0, 0], [1, 1, 1]]),
             ("normalization", [[math.inf, 0, 0], [1, 1, 1]]),
+            ("lr", math.nan),
+            ("lr", math.inf),
+            ("lr", 10**400),
+            ("weight_decay", math.nan),
+            ("lr_decay", math.nan),
+            ("width", math.nan),
         ],
     )
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value):
@@ -264,6 +274,12 @@ class TestEvalCommand:
         ])
         assert rc == 2
 
+    def test_unreadable_data_file_exits_3(self, trained, tmp_path, capsys):
+        (tmp_path / "test_batch.bin").mkdir()
+        rc = main(["eval", "--ckpt", trained["ckpt"], "--data", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestFoldCommand:
     def test_fold_then_eval_is_bit_identical(self, trained, tmp_path, capsys):
@@ -300,6 +316,10 @@ class TestFoldCommand:
                    "--out", str(tmp_path / "o.ckpt")])
         assert rc == 3
 
+    def test_directory_out_exits_3(self, trained, tmp_path, capsys):
+        assert main(["fold", "--ckpt", trained["ckpt"], "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestErfCommand:
     def test_writes_map_and_radius(self, trained, tmp_path, capsys):
@@ -323,6 +343,14 @@ class TestErfCommand:
                    "--samples", "2", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_file_as_out_dir_exits_3(self, trained, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("")
+        rc = main(["erf", "--ckpt", trained["ckpt"], "--layer", "0",
+                   "--samples", "1", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestMaskDumpCommand:
     def test_dumps_every_masked_layer(self, trained, tmp_path, capsys):
@@ -333,6 +361,12 @@ class TestMaskDumpCommand:
         for entry in manifest["layers"]:
             assert (out / entry["csv"]).exists()
             assert (out / entry["pgm"]).exists()
+
+    def test_file_as_out_dir_exits_3(self, trained, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("")
+        assert main(["mask-dump", "--ckpt", trained["ckpt"], "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # (path into the header, new value); DELETE removes the key

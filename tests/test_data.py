@@ -105,7 +105,7 @@ class TestCifarReader:
             root=str(tmp_path),
             split="train",
             normalization=((0.5, 0.5, 0.5), (0.25, 0.25, 0.25)),
-            subset=10,
+            num_samples=10,
         )
         imgs2, labs2 = load_dataset(norm)
         assert imgs2.shape == (10, 3, 32, 32)
@@ -188,6 +188,8 @@ class TestSynthetic:
         imgs, labs = load_dataset(src)
         assert imgs.shape == (30, 3, 8, 8)
         assert labs.shape == (30,)
+        default, _ = load_dataset(DatasetSource("synthetic", image_shape=(1, 2, 2)))
+        assert default.shape == (1000, 1, 2, 2)  # num_samples=0 sizes the set at 1000
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -198,6 +200,8 @@ class TestSynthetic:
             DatasetSource("imagenet")
         with pytest.raises(ValueError):
             DatasetSource("synthetic", split="val")
+        with pytest.raises(ValueError):
+            DatasetSource("synthetic", num_samples=-1)
 
 
 class TestAugment:

@@ -173,8 +173,7 @@ class TestStaticGradients:
 
 class TestDynamicSigmaModule:
     def test_dimensions_for_c64(self):
-        mod = DynamicSigmaModule(64, r=4.0 / 3.0, pattern="sigma_pair",
-                                 rng=np.random.default_rng(0))
+        mod = DynamicSigmaModule(64, pattern="sigma_pair", rng=np.random.default_rng(0))
         assert mod.hidden == 96
         assert mod.w0.data.shape == (96, 128)
         assert mod.w1.data.shape == (2, 96)
@@ -239,10 +238,7 @@ class TestDynamicSigmaModule:
             DynamicSigmaModule(3, pattern="sigmas", rng=rng)
         with pytest.raises(ValueError):
             DynamicSigmaModule(0, rng=rng)
-        with pytest.raises(ValueError):
-            DynamicSigmaModule(3, r=-1.0, rng=rng)
-        with pytest.raises(ValueError):
-            DynamicSigmaModule(3, r=100.0, rng=rng)  # no hidden units left
+        assert DynamicSigmaModule(1, rng=rng).hidden == 1  # the fixed ratio always leaves a unit
         mod = DynamicSigmaModule(3, rng=rng)
         with pytest.raises(ValueError):
             mod.predict(Tensor(np.zeros((1, 4, 5, 5))))

@@ -272,21 +272,18 @@ class TestBatchVariants:
 class TestMaskObjects:
     def test_circular_mask_records_clamped_sigma(self):
         m = masks.circular_mask(1e-9, 3)
-        assert m.params.kind == "circular"
-        assert m.params.sigma1 == masks.SIGMA_MIN
-        assert m.params.sigma2 == masks.SIGMA_MIN
+        assert m.kind == "circular"
+        assert m.sigma1 == masks.SIGMA_MIN
+        assert m.sigma2 == masks.SIGMA_MIN
         assert m.kernel_size == 3
 
     def test_elliptic_mask_object(self):
         m = masks.elliptic_mask(2.0, -3.0, 5)
-        assert m.params.kind == "elliptic"
-        assert m.params.sigma1 == 2.0
-        assert m.params.sigma2 == 3.0
+        assert m.kind == "elliptic"
+        assert m.sigma1 == 2.0
+        assert m.sigma2 == 3.0
+        assert m.kernel_size == 5
         np.testing.assert_array_equal(m.values, masks.elliptic_values(2.0, 3.0, 5))
-
-    def test_params_reject_unknown_kind(self):
-        with pytest.raises(ValueError):
-            masks.MaskParams("square", 1.0, 1.0, 3)
 
 
 class TestExport:
@@ -295,14 +292,14 @@ class TestExport:
         rng = np.random.default_rng(11)
         m = masks.circular_mask(float(rng.uniform(0.4, 9.0)), 7)
         p = tmp_path / "m.csv"
-        masks.export_mask(m, str(p), "csv")
+        masks.write_grid_csv(m.values, str(p))
         back = masks.read_grid_csv(str(p))
         np.testing.assert_array_equal(back, m.values)
 
     def test_csv_layout(self, tmp_path):
         m = masks.circular_mask(1.0, 3)
         p = tmp_path / "m.csv"
-        masks.export_mask(m, str(p), "csv")
+        masks.write_grid_csv(m.values, str(p))
         lines = p.read_text().splitlines()
         assert len(lines) == 3
         assert all(len(line.split(",")) == 3 for line in lines)
@@ -311,7 +308,7 @@ class TestExport:
     def test_pgm_format_and_scaling(self, tmp_path):
         m = masks.circular_mask(1.0, 3)
         p = tmp_path / "m.pgm"
-        masks.export_mask(m, str(p), "pgm")
+        masks.write_grid_pgm(m.values, str(p))
         toks = p.read_text().split()
         assert toks[0] == "P2"
         assert toks[1] == "3" and toks[2] == "3"
@@ -321,8 +318,3 @@ class TestExport:
         assert pixels[4] == 65535
         assert pixels[1] == round(math.exp(-0.5) * 65535)
         assert pixels[0] == round(math.exp(-1.0) * 65535)
-
-    def test_unknown_format_raises(self, tmp_path):
-        m = masks.circular_mask(1.0, 3)
-        with pytest.raises(ValueError):
-            masks.export_mask(m, str(tmp_path / "m.bin"), "bin")

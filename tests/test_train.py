@@ -36,7 +36,6 @@ SMOKE = TrainConfig(
     dataset="synthetic",
     train_subset=256,
     test_subset=128,
-    image_shape=(3, 32, 32),
     augment="none",
     epochs=20,
     batch_size=64,
@@ -405,11 +404,17 @@ class TestEvaluate:
 
 
 class TestCompatibilityChecks:
-    def test_wrong_image_shape_rejected(self):
-        cfg = replace(TINY, image_shape=(3, 16, 16))
+    def test_wrong_image_shape_rejected(self, tmp_path):
+        """1 x 28 x 28 IDX images cannot feed the 3 x 32 x 32 cnn-small."""
+        from test_data import write_idx_images, write_idx_labels
+
+        for prefix in ("train", "t10k"):
+            write_idx_images(str(tmp_path / f"{prefix}-images-idx3-ubyte"), 4)
+            write_idx_labels(str(tmp_path / f"{prefix}-labels-idx1-ubyte"), [0, 1, 2, 3])
+        cfg = replace(TINY, dataset="mnist-idx", data_root=str(tmp_path), train_subset=0, test_subset=0)
         with pytest.raises(ConfigError) as err:
             train(cfg)
-        assert "input" in str(err.value) or "shape" in str(err.value)
+        assert "(1, 28, 28)" in str(err.value) and "(3, 32, 32)" in str(err.value)
 
     def test_label_overflow_rejected(self):
         """A dataset whose labels exceed the configured head width is a
