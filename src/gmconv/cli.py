@@ -4,7 +4,8 @@ Subcommands cover the whole workflow: train a config, evaluate or fold
 a checkpoint, probe effective receptive fields, and dump or generate
 mask grids. Exit codes: 0 success, 1 runtime failure (diverged
 training), 2 configuration or usage error, 3 data or file error
-(malformed files; missing, unreadable or unwritable ones).
+(malformed files; missing, unreadable or unwritable ones; data too large
+to allocate).
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def main(argv=None) -> int:
         return int(code) if code else 0
     try:
         return args.func(args)
-    except (DataError, OSError) as err:
+    except (DataError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except FloatingPointError as err:

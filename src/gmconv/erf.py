@@ -8,8 +8,8 @@ H x W influence map whose support always sits inside the theoretical
 receptive field and whose spread is summarized by an intensity-weighted
 radius.
 
-Probe inputs default to unit-Gaussian noise; a stack of dataset images can
-be supplied instead. Absolute values are accumulated (not signed
+Probe inputs are unit-Gaussian noise drawn from the caller's generator, or
+a supplied stack of dataset images. Absolute values are accumulated (not signed
 gradients) so maps stay comparable across nets with ReLUs.
 """
 
@@ -47,17 +47,17 @@ def estimate_erf(
     """Measure the ERF of the central unit of one module's output.
 
     `layer_index` indexes `model.modules`; the probed module must produce
-    a spatial (4D) output. `images`, when given, is an S x C x H x W
-    stack cycled through for the probes; otherwise probes are fresh
-    unit-Gaussian noise drawn from `rng`.
+    a spatial (4D) output. Pass exactly one probe source: `rng`, which
+    draws fresh unit-Gaussian noise per probe, or `images`, an
+    S x C x H x W stack cycled through for the probes.
     """
     if not 0 <= layer_index < len(model.modules):
         raise ValueError(f"layer index {layer_index} out of range")
     if num_samples < 1:
         raise ValueError("need at least one probe sample")
+    if (rng is None) == (images is None):
+        raise ValueError("estimate_erf needs exactly one probe source: rng or images")
     c, h, w = model.spec.input_shape
-    if images is None and rng is None:
-        rng = np.random.default_rng()
 
     acc = np.zeros((h, w))
     unit = (0, 0)

@@ -15,11 +15,12 @@ trainable flag: the optimizer updates the parameters a model lists by
 name (``Model.named_parameters``), and adjoints are propagated to every
 input, since intermediates need them.
 
-Convolution runs through im2col: the window unfold gives channel-major
-columns, N x (C*K*K) x (Ho*Wo), so the weight GEMM yields N x O x Ho x Wo
-with no layout change. ``conv2d`` and ``conv2d_per_sample`` share one
-forward and one gradient routine. The direct-loop references are kept as
-internal oracles; the two paths must agree to near machine precision.
+Convolution is flat-shift: the input is padded once onto flat per-sample
+grids, and each kernel tap is a zero-copy slice of them, so the forward is
+K*K GEMMs ``out += W_t @ slice_t`` and no column matrix is built; the
+backward adds ``W_t^T @ g`` into the same slices. ``conv2d`` and
+``conv2d_per_sample`` share this core. The direct-loop references are kept
+as internal oracles; the two paths must agree to near machine precision.
 """
 
 from __future__ import annotations
@@ -152,54 +153,51 @@ def _conv_checks(x: np.ndarray, w: np.ndarray, b, stride: int, padding: int):
     return n, c, h, wdt, o, k, ho, wo
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, padding: int, ho: int, wo: int):
-    """Unfold padded input into channel-major columns, N x (C*K*K) x (Ho*Wo):
-    row c*K*K + i*K + j holds tap (i, j) of channel c at every output position."""
-    n, c = x.shape[0], x.shape[1]
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, ho * wo)
-
-
-def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, padding: int, ho: int, wo: int):
-    """Add each tap's contiguous N x C x Ho x Wo adjoint onto the padded grid."""
-    n, c, h, w = x_shape
-    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-    dwin = dcols.reshape(n, c, k, k, ho, wo)
-    for ki in range(k):
-        for kj in range(k):
-            dxp[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += dwin[
-                :, :, ki, kj
-            ]
-    return dxp[:, :, padding : padding + h, padding : padding + w]
+def _to_grids(x: np.ndarray, k: int, s: int, padding: int, ho: int, wo: int):
+    """Pad x once into s*s phase grids, s*s x N x C x (hg*wg): phase (a, b)
+    holds padded rows a::s and columns b::s, flattened at width wg. Output
+    (y, x) of tap (i, j) is element y*wg + x + (i//s)*wg + j//s of phase
+    (i%s, j%s), so a tap over all outputs is one contiguous Ho*wg slice (a
+    spare last row keeps it in bounds); the wg - Wo extra columns are dropped.
+    Returns the grids, wg and each tap's (i, j, phase, flat offset)."""
+    n, c, h, w = x.shape
+    hg, wg = ho + (k - 1) // s + 1, max(wo + (k - 1) // s, -(-(w + padding) // s))
+    xp = np.zeros((n, c, s * hg, s * wg))
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    grids = xp.reshape(n, c, hg, s, wg, s).transpose(3, 5, 0, 1, 2, 4)
+    taps = [(i, j, i % s * s + j % s, i // s * wg + j // s) for i in range(k) for j in range(k)]
+    return np.ascontiguousarray(grids).reshape(s * s, n, c, hg * wg), wg, taps
 
 
 def _conv_forward(xd, wd, bdat, stride: int, padding: int, ho: int, wo: int) -> np.ndarray:
-    """`W @ cols` on channel-major columns: an O x C x K x K weight broadcasts
-    over the batch, an N x O x C x K x K one pairs with its sample."""
-    lead, (o, c, k, _) = wd.shape[:-4], wd.shape[-4:]
-    out = wd.reshape(*lead, o, c * k * k) @ _im2col(xd, k, stride, padding, ho, wo)
-    if bdat is not None:
-        out += bdat[:, None]
-    return out.reshape(-1, o, ho, wo)
+    """Sum of `W_t @ slice_t` over taps; W_t is O x C, or N x O x C per sample."""
+    n, o = xd.shape[0], wd.shape[-4]
+    grids, wg, taps = _to_grids(xd, wd.shape[-1], stride, padding, ho, wo)
+    wt = np.moveaxis(wd, (-2, -1), (0, 1)).copy()
+    out = np.zeros((n, o, ho * wg))
+    for i, j, ph, off in taps:
+        out += wt[i, j] @ grids[ph, :, :, off : off + ho * wg]
+    out = out.reshape(n, o, ho, wg)[..., :wo]
+    return out.copy() if bdat is None else out + bdat[:, None, None]
 
 
 def _conv_grads(g: np.ndarray, xd, wd, has_bias: bool, stride: int, padding: int):
     """(dx, dw, db) of `_conv_forward` for the output adjoint g; db is None
-    without a bias."""
-    n, o, ho, wo = g.shape
-    lead, (c, k) = wd.shape[:-4], wd.shape[-3:-1]
-    gmat = g.reshape(n, o, ho * wo)
-    # columns are recomputed here rather than kept alive in the closure;
-    # trades one unfold for a much smaller live set
-    dw = gmat @ _im2col(xd, k, stride, padding, ho, wo).swapaxes(-1, -2)
-    dw = (dw if lead else dw.sum(axis=0)).reshape(wd.shape)
-    dcols = wd.reshape(*lead, o, c * k * k).swapaxes(-1, -2) @ gmat
-    dx = _col2im(dcols, xd.shape, k, stride, padding, ho, wo)
+    without a bias. The grids are rebuilt, not kept alive by the closure."""
+    (n, o, ho, wo), (c, h, w), s = g.shape, xd.shape[1:], stride
+    grids, wg, taps = _to_grids(xd, wd.shape[-1], s, padding, ho, wo)
+    gg = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wg - wo))).reshape(n, o, ho * wg)
+    wt = np.moveaxis(wd, (-2, -1), (0, 1)).copy()
+    dw, dgrids = np.empty_like(wt), np.zeros_like(grids)
+    for i, j, ph, off in taps:
+        dw_t = gg @ grids[ph, :, :, off : off + ho * wg].swapaxes(-1, -2)
+        dw[i, j] = dw_t if wd.ndim == 5 else dw_t.sum(axis=0)
+        dgrids[ph, :, :, off : off + ho * wg] += wt[i, j].swapaxes(-1, -2) @ gg
+    # interleave the phases back onto the padded input, then crop
+    dxp = dgrids.reshape(s, s, n, c, -1, wg).transpose(2, 3, 4, 0, 5, 1).reshape(n, c, -1, s * wg)
+    dx = dxp[:, :, padding : padding + h, padding : padding + w]
     db = g.sum(axis=(0, 2, 3)) if has_bias else None
-    return dx, dw, db
+    return dx, np.moveaxis(dw, (0, 1), (-2, -1)).copy(), db
 
 
 def conv2d(

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +161,13 @@ class TestTrainCommand:
         cfg.write_text(config_to_json(cfg_obj))
         assert main(["train", "--config", str(cfg)]) == 3
         assert "error" in capsys.readouterr().err
+
+    def test_unallocatable_sample_count_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_to_json(replace(TINY, train_subset=10**12)))
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_diverged_sigma_exits_1_with_crash_checkpoint(self, tmp_path, monkeypatch, capsys):
         real_step = train_module.sgd_step

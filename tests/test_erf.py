@@ -113,6 +113,14 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_erf(model, 0, 1, images=np.zeros((1, 1, 4, 4)))
 
+    def test_needs_exactly_one_probe_source(self):
+        model = all_ones_model(1, hw=9)
+        imgs = np.zeros((1, 1, 9, 9))
+        with pytest.raises(ValueError, match="exactly one"):
+            estimate_erf(model, 0, 1)
+        with pytest.raises(ValueError, match="exactly one"):
+            estimate_erf(model, 0, 1, np.random.default_rng(0), images=imgs)
+
     def test_rejects_non_spatial_layer(self):
         model = Model(build_model("cnn-small", 10), np.random.default_rng(9))
         pool_index = next(i for i, layer in enumerate(model.spec.layers) if layer.op == "pool")

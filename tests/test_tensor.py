@@ -1,6 +1,7 @@
 """Forward values and reverse-mode gradients of the tensor engine."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from gmconv.tensor import (
 from util import num_grad
 
 
-# (N, C, H, W, O, K, stride, padding) of the im2col-vs-direct-loop oracle
+# (N, C, H, W, O, K, stride, padding) of the fast-vs-direct-loop oracle
 CONV_GEOMETRIES = [
     (1, 1, 5, 5, 1, 3, 1, 0),
     (2, 3, 8, 8, 4, 3, 1, 1),
@@ -82,7 +83,7 @@ class TestConvForward:
         assert out.data.shape == (2, 16, 32, 32)
 
     def test_matches_direct_loop_reference(self):
-        """im2col path vs. independent nested-loop path, near machine eps."""
+        """Flat-shift path vs. independent nested-loop path, near machine eps."""
         rng = np.random.default_rng(42)
         for n, c, h, wdt, o, k, s, p in CONV_GEOMETRIES:
             x = rng.normal(size=(n, c, h, wdt))
@@ -185,6 +186,31 @@ class TestPerSampleConv:
     def test_batch_mismatch_rejected(self):
         with pytest.raises(ValueError):
             conv2d_per_sample(Tensor(np.zeros((2, 1, 4, 4))), Tensor(np.zeros((3, 1, 1, 3, 3))))
+
+
+def test_conv_builds_no_column_matrix():
+    """Stride-1 conv at N=8, C=O=8, 16x16, K=3, p=1: the forward peak stays
+    below the bytes of an N x C*K*K x Ho*Wo column matrix, and the backward
+    peak below 1.25 times them. tracemalloc sees numpy's buffers."""
+    n, c, o, hw, k = 8, 8, 8, 16, 3
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(n, c, hw, hw)))
+    w = Tensor(rng.normal(size=(o, c, k, k)))
+    seed = rng.normal(size=(n, o, hw, hw))
+    col_bytes = n * c * k * k * hw * hw * 8
+    tracemalloc.start()
+    try:
+        tape = GradTape()
+        y = conv2d(x, w, stride=1, padding=1, tape=tape)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        tape.backward(y, seed)
+        backward_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < col_bytes
+    assert backward_peak < 1.25 * col_bytes
 
 
 @st.composite
