@@ -184,15 +184,20 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"{path}: tensor record {i} needs a string name, a shape of "
                 f"non-negative integers and a non-negative integer offset"
             )
+        if rec["offset"] != expected:
+            raise DataError(
+                f"{path}: tensor {rec['name']!r} starts at payload byte {rec['offset']}, "
+                f"but payloads are concatenated in header order, so it must start at {expected}"
+            )
         count = math.prod(rec["shape"])
-        end = rec["offset"] + 8 * count
+        end = expected + 8 * count
         if end > len(payload):
             raise DataError(
                 f"{path}: tensor {rec['name']!r} ends at byte {end} of a "
                 f"{len(payload)}-byte payload"
             )
-        expected += 8 * count
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=rec["offset"])
+        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=expected)
+        expected = end
         arr = np.array(arr.reshape(rec["shape"]), dtype=np.float64)
         kind, _, name = rec["name"].partition(":")
         target = {"param": params, "momentum": momentum}.get(kind)

@@ -49,7 +49,8 @@ def estimate_erf(
     `layer_index` indexes `model.modules`; the probed module must produce
     a spatial (4D) output. Pass exactly one probe source: `rng`, which
     draws fresh unit-Gaussian noise per probe, or `images`, an
-    S x C x H x W stack cycled through for the probes.
+    S x C x H x W stack cycled through for the probes. A map that is not
+    finite (a model whose outputs overflow) raises FloatingPointError.
     """
     if not 0 <= layer_index < len(model.modules):
         raise ValueError(f"layer index {layer_index} out of range")
@@ -87,6 +88,8 @@ def estimate_erf(
         acc += np.abs(x.grad[0]).sum(axis=0)
 
     mean = acc / num_samples
+    if not np.all(np.isfinite(mean)):
+        raise FloatingPointError("influence map is not finite; the model's outputs overflow")
     peak = mean.max()
     if peak == 0.0:
         raise ValueError("influence map is identically zero; nothing to normalize")
@@ -96,12 +99,14 @@ def estimate_erf(
 def erf_radius(erf) -> float:
     """Root of the intensity-weighted second moment about the centroid.
 
-    Accepts an ErfMap or a bare non-negative grid. Scaling the map by any
-    positive constant leaves the radius unchanged.
+    Accepts an ErfMap or a bare finite, non-negative grid. Scaling the map
+    by any positive constant leaves the radius unchanged.
     """
     v = np.asarray(getattr(erf, "values", erf), dtype=np.float64)
     if v.ndim != 2:
         raise ValueError(f"expected a 2D map, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("influence values must be finite")
     if np.any(v < 0):
         raise ValueError("influence values must be non-negative")
     total = v.sum()

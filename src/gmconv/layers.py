@@ -6,9 +6,11 @@ channel dimensions, and convolves as usual. Gradients reach sigma through
 the analytic mask derivative.
 
 A dynamic layer predicts per-sample widths (sigma1, sigma2) from a pooled
-descriptor of its own input through a small two-layer bottleneck, builds a
-per-sample elliptic mask, and convolves each sample with its own masked
-kernel.
+descriptor of its own input through a small two-layer bottleneck and
+convolves each sample with the kernel under its own elliptic mask. Either
+masked layer is two tape ops, masked weight then convolution; the masking
+op reads the mask, and with a tape its width slopes, from the public views
+in ``masks``, and its one backward returns the weight and width adjoints.
 
 After training, a static layer's mask can be folded into the weights,
 yielding a plain convolution with identical outputs and zero mask cost.
@@ -95,50 +97,39 @@ def _mask_scale(weight: Tensor, sigma: Tensor, tape: GradTape | None) -> Tensor:
         raise ValueError(f"sigma must be a scalar tensor, got shape {sigma.data.shape}")
     k = weight.data.shape[2]
     raw = float(sigma.data)
-    if tape is None:
-        return Tensor(weight.data * masks.circular_values(raw, k))
-    m, dm = masks._circular_with_grad(raw, k)
+    m = masks.circular_values(raw, k)
     out = Tensor(weight.data * m)
-    wd = weight.data
-
-    def backward(g: np.ndarray):
-        dw = g * m
-        dsig = np.asarray(np.sum(g * wd * dm))
-        return dw, dsig
-
-    tape.record(out, (weight, sigma), backward)
-    return out
-
-
-def _elliptic_mask_batch(s1: Tensor, s2: Tensor, k: int, tape: GradTape | None) -> Tensor:
-    """Tape op: per-sample elliptic masks, N x K x K from two N-vectors."""
-    if s1.data.shape != s2.data.shape or s1.data.ndim != 1:
-        raise ValueError("sigma vectors must be 1D and the same length")
-    if tape is None:
-        return Tensor(masks.elliptic_values_batch(s1.data, s2.data, k))
-    m, g1, g2 = masks._gaussian(s1.data, s2.data, k, grad=True)
-    out = Tensor(m)
-
-    def backward(g: np.ndarray):
-        return np.sum(g * g1, axis=(1, 2)), np.sum(g * g2, axis=(1, 2))
-
-    tape.record(out, (s1, s2), backward)
-    return out
-
-
-def _per_sample_masked_weights(weight: Tensor, mb: Tensor, tape: GradTape | None) -> Tensor:
-    """Tape op: W'(n) = W * M_n, giving N x O x C x K x K."""
-    out = Tensor(weight.data[None] * mb.data[:, None, None])
 
     if tape is not None:
+        dm = masks.circular_grad_values(raw, k)
         wd = weight.data
 
         def backward(g: np.ndarray):
-            dw = np.einsum("nockl,nkl->ockl", g, mb.data)
-            dm = np.einsum("nockl,ockl->nkl", g, wd)
-            return dw, dm
+            return g * m, np.asarray(np.sum(g * wd * dm))
 
-        tape.record(out, (weight, mb), backward)
+        tape.record(out, (weight, sigma), backward)
+    return out
+
+
+def _per_sample_masked_weights(
+    weight: Tensor, s1: Tensor, s2: Tensor, tape: GradTape | None
+) -> Tensor:
+    """Tape op: W'(n) = W * M_n, giving N x O x C x K x K, where M_n is the
+    elliptic mask of widths (s1[n], s2[n]) for two N-vectors."""
+    k = weight.data.shape[2]
+    m = masks.elliptic_values_batch(s1.data, s2.data, k)
+    out = Tensor(weight.data[None] * m[:, None, None])
+
+    if tape is not None:
+        g1, g2 = masks.elliptic_grad_batch(s1.data, s2.data, k)
+        wd = weight.data
+
+        def backward(g: np.ndarray):
+            dw = np.einsum("nockl,nkl->ockl", g, m)
+            dm = np.einsum("nockl,ockl->nkl", g, wd)
+            return dw, np.sum(dm * g1, axis=(1, 2)), np.sum(dm * g2, axis=(1, 2))
+
+        tape.record(out, (weight, s1, s2), backward)
     return out
 
 
@@ -299,8 +290,7 @@ class DynamicGMConvLayer(_ConvLayer):
 
     def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
         s1, s2 = self.sigma_module.predict(x, tape)
-        mb = _elliptic_mask_batch(s1, s2, self.kernel_size, tape)
-        wb = _per_sample_masked_weights(self.weight, mb, tape)
+        wb = _per_sample_masked_weights(self.weight, s1, s2, tape)
         return conv2d_per_sample(x, wb, self.bias, self.stride, self.padding, tape)
 
     def param_items(self):

@@ -129,16 +129,11 @@ def circular_values(sigma: float, kernel_size: int) -> np.ndarray:
     return _gaussian(s, s, kernel_size)[0]
 
 
-def _circular_with_grad(sigma: float, kernel_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mask, d(mask)/d(sigma)) for the circular mask from one evaluation."""
-    s = _one(sigma)
-    m, g1, g2 = _gaussian(s, s, kernel_size, grad=True)
-    return m[0], g1[0] + g2[0]
-
-
 def circular_grad_values(sigma: float, kernel_size: int) -> np.ndarray:
     """d(mask)/d(sigma) for the circular mask, shape (K, K)."""
-    return _circular_with_grad(sigma, kernel_size)[1]
+    s = _one(sigma)
+    _, g1, g2 = _gaussian(s, s, kernel_size, grad=True)
+    return g1[0] + g2[0]
 
 
 def elliptic_values(sigma1: float, sigma2: float, kernel_size: int) -> np.ndarray:
@@ -216,7 +211,8 @@ def write_grid_pgm(grid: np.ndarray, path: str) -> None:
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError(f"expected a 2D grid, got shape {g.shape}")
-    if g.min() < 0.0 or g.max() > 1.0:
+    # negated, so that NaN cells fail the range check too
+    if not (g.min() >= 0.0 and g.max() <= 1.0):
         raise ValueError("PGM export expects values in [0, 1]")
     levels = np.rint(g * 65535.0).astype(np.int64)
     h, w = g.shape

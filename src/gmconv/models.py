@@ -624,5 +624,9 @@ class Model:
         return len(static)
 
     def predict(self, x: Tensor) -> np.ndarray:
-        """Argmax class per sample, tape-free."""
-        return np.argmax(self.forward(x).data, axis=1)
+        """Argmax class per sample, tape-free. Raises FloatingPointError if
+        a logit is NaN or infinite: the argmax of a NaN row is class 0."""
+        logits = self.forward(x).data
+        if not np.all(np.isfinite(logits)):
+            raise FloatingPointError("the model's logits are not finite")
+        return np.argmax(logits, axis=1)

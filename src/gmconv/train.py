@@ -264,7 +264,8 @@ def train(
 
     With `out_dir`, metrics.csv and last.ckpt are rewritten after every
     epoch. A non-finite loss or static sigma raises FloatingPointError at
-    the step where it appears; with `out_dir` it first writes crash.ckpt,
+    the step where it appears, and so does a model whose end-of-epoch test
+    logits are not finite; with `out_dir` it first writes crash.ckpt,
     the state at the start of that epoch (byte-identical to the previous
     epoch's last.ckpt). With `resume`, training continues from the
     checkpoint's epoch and generator state; the config must build the
@@ -324,17 +325,17 @@ def train(
             # a non-finite loss skips the step; a finite one may still push a sigma off
             for name, t in [("loss", loss), *sigma_items]:
                 if not np.isfinite(t.data):
-                    if out_dir:
-                        save_checkpoint(saved, os.path.join(out_dir, "crash.ckpt"))
-                    raise FloatingPointError(
-                        f"training diverged: {name} {float(t.data)!r} at epoch {epoch}, "
-                        f"batch {batch_index} (lr={lr:g}, last finite loss {last_finite:g})"
-                    )
+                    _diverged(saved, out_dir, f"{name} {float(t.data)!r} at epoch {epoch}, "
+                              f"batch {batch_index} (lr={lr:g}, last finite loss {last_finite:g})")
 
+        try:
+            test_acc = evaluate_model(model, test_images, test_labels)
+        except FloatingPointError as err:
+            _diverged(saved, out_dir, f"evaluation after epoch {epoch} failed: {err} (lr={lr:g})")
         metrics = EpochMetrics(
             epoch=epoch,
             train_loss=loss_sum / n,
-            test_acc=evaluate_model(model, test_images, test_labels),
+            test_acc=test_acc,
             sigmas=tuple(clamp_sigma(float(t.data)) for _, t in sigma_items),
         )
         history.append(metrics)
@@ -347,6 +348,13 @@ def train(
     return history, saved
 
 
+def _diverged(saved: Checkpoint, out_dir: str | None, what: str):
+    """Write the epoch-start state to crash.ckpt (with `out_dir`) and raise."""
+    if out_dir:
+        save_checkpoint(saved, os.path.join(out_dir, "crash.ckpt"))
+    raise FloatingPointError(f"training diverged: {what}")
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -354,7 +362,8 @@ def train(
 def evaluate_model(
     model: Model, images: np.ndarray, labels: np.ndarray, batch_size: int = 256
 ) -> float:
-    """Top-1 accuracy over the whole array, batched, tape-free."""
+    """Top-1 accuracy over the whole array, batched, tape-free; non-finite
+    logits raise FloatingPointError (see `Model.predict`)."""
     if len(images) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     head = model.spec.num_classes

@@ -176,6 +176,24 @@ def test_duplicate_tensor_name(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("edit", ["alias", "swap"])
+def test_offsets_must_follow_header_order(tmp_path, edit):
+    """Two same-shape tensors read from one offset, or from each other's,
+    keep every record inside the payload; both must still be rejected."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint_from_model(small_model()), str(path))
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + hlen])
+    where = {rec["name"]: (i, rec["offset"]) for i, rec in enumerate(header["tensors"])}
+    (i2, o2), (i4, o4) = where["param:layer2.bias"], where["param:layer4.bias"]
+    for i, offset in [(i4, o2)] if edit == "alias" else [(i2, o4), (i4, o2)]:
+        raw = mutated_header(raw, ("tensors", i, "offset"), offset)
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match="concatenated in header order"):
+        load_checkpoint(str(path))
+
+
 def test_missing_file():
     with pytest.raises(DataError):
         load_checkpoint("/no/such/file.ckpt")

@@ -183,6 +183,18 @@ class TestTrainCommand:
         assert "layer0.sigma nan" in capsys.readouterr().err
         assert load_checkpoint(str(tmp_path / "out" / "crash.ckpt")).epoch == 0
 
+    def test_overflowing_last_step_exits_1(self, tmp_path, capsys):
+        """One step at lr 1e300 leaves finite weights whose every forward
+        overflows; the run fails at its evaluation instead of logging the
+        class-0 share as an accuracy."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_to_json(replace(
+            TINY, lr=1e300, train_subset=64, batch_size=64, policy=ConvPolicy("std", "std"))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "diverged: evaluation after epoch 1" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path / "out")) == ["crash.ckpt"]
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "none.json")]) == 2
 
@@ -254,6 +266,25 @@ class TestEvalCommand:
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         assert main(["eval", "--ckpt", str(tmp_path / "no.ckpt")]) == 3
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--dataset", "synthetic", "--subset", "32"],
+        ["erf", "--layer", "2", "--samples", "2"],
+    ])
+    def test_overflowing_model_exits_1(self, trained, tmp_path, capsys, command):
+        """A checkpoint whose forward overflows has no accuracy and no ERF."""
+        ckpt = load_checkpoint(trained["ckpt"])
+        for arr in ckpt.params.values():
+            arr *= 1e300
+        path = str(tmp_path / "big.ckpt")
+        save_checkpoint(ckpt, path)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([command[0], "--ckpt", path, *command[1:]]
+                      + (["--out", str(out)] if command[0] == "erf" else []))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "mean,std",

@@ -8,7 +8,7 @@ import pytest
 
 from gmconv import masks
 from gmconv.erf import ErfMap, dump_layer_masks, erf_radius, estimate_erf
-from gmconv.layers import _elliptic_mask_batch
+from gmconv.layers import _per_sample_masked_weights
 from gmconv.models import ConvPolicy, LayerSpec, Model, ModelSpec, apply_policy, build_model
 from gmconv.tensor import Tensor
 from util import copy_shared_params
@@ -132,6 +132,16 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_erf(model, 99, 1, np.random.default_rng(0))
 
+    def test_non_finite_map_raises(self):
+        """Weights near 1e300 overflow every forward; their NaN map must not
+        be normalized and returned as if it were valid."""
+        model = Model(build_model("cnn-small", 10), np.random.default_rng(12))
+        for _, t in model.named_parameters():
+            t.data *= 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="not finite"):
+                estimate_erf(model, 6, 2, np.random.default_rng(13))
+
     def test_normalized_to_unit_peak(self):
         model = Model(build_model("cnn-small", 10), np.random.default_rng(12))
         erf = estimate_erf(model, 2, 4, np.random.default_rng(13))
@@ -205,6 +215,12 @@ class TestRadius:
         with pytest.raises(ValueError):
             erf_radius(np.zeros((5, 5)))
 
+    def test_non_finite_rejected(self):
+        v = np.zeros((5, 5))
+        v[2, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            erf_radius(v)
+
     def test_accepts_erf_map_objects(self):
         v = np.zeros((5, 5))
         v[2, 2] = 1.0
@@ -251,7 +267,8 @@ class TestMaskDump:
             for entry, (_, layer) in zip(manifest["layers"], model.masked_layer_items()):
                 mod = layer.sigma_module
                 s1, s2 = mod.predict(Tensor(np.zeros((1, mod.in_channels, 1, 1))))
-                applied = _elliptic_mask_batch(s1, s2, layer.kernel_size, None).data[0]
+                ones = Tensor(np.ones((1, 1, layer.kernel_size, layer.kernel_size)))
+                applied = _per_sample_masked_weights(ones, s1, s2, None).data[0, 0, 0]
                 got = masks.read_grid_csv(str(out / entry["csv"]))
                 np.testing.assert_array_equal(got, applied)
 

@@ -305,6 +305,15 @@ class TestExport:
         assert all(len(line.split(",")) == 3 for line in lines)
         assert lines[1].split(",")[1] == "1"
 
+    def test_pgm_rejects_nan(self, tmp_path):
+        """NaN passes `min < 0 or max > 1`; casting it would write the level
+        -9223372036854775808."""
+        grid = np.full((3, 3), 0.5)
+        grid[1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            masks.write_grid_pgm(grid, str(tmp_path / "m.pgm"))
+        assert not (tmp_path / "m.pgm").exists()
+
     def test_pgm_format_and_scaling(self, tmp_path):
         m = masks.circular_mask(1.0, 3)
         p = tmp_path / "m.pgm"

@@ -1,5 +1,6 @@
 """Forward values and reverse-mode gradients of the tensor engine."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gmconv import layers, tensor
 from gmconv.tensor import (
     GradTape,
     Tensor,
@@ -582,3 +584,62 @@ class TestTapeMechanics:
         out = conv2d(x, w, Tensor(rng.normal(size=4)), padding=1)
         assert np.all(np.isfinite(out.data))
         assert np.all(np.isfinite(softplus(Tensor(np.array([1e6, -1e6]))).data))
+
+
+def taped_calls():
+    """One taped call per (op name, mode) of the closure-naming test."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(2, 3, 5, 5)))
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+    b = Tensor(rng.normal(size=4))
+    z = Tensor(rng.normal(size=(2, 3)))
+    s = Tensor(rng.uniform(0.5, 2.0, size=2))
+    return {
+        ("conv2d", None): lambda t: conv2d(x, w, b, 1, 1, t),
+        ("conv2d_per_sample", None): lambda t: conv2d_per_sample(
+            x, Tensor(rng.normal(size=(2, 4, 3, 3, 3))), b, 1, 1, t),
+        ("global_pool", "max"): lambda t: global_pool(x, "max", t),
+        ("global_pool", "avg"): lambda t: global_pool(x, "avg", t),
+        ("dense", None): lambda t: dense(z, Tensor(rng.normal(size=(4, 3))), b, t),
+        ("relu", None): lambda t: relu(z, t),
+        ("softplus", None): lambda t: softplus(z, t),
+        ("softmax_cross_entropy", None): lambda t: softmax_cross_entropy(z, np.array([0, 2]), t),
+        ("add", None): lambda t: add(z, z, t),
+        ("mul", None): lambda t: mul(z, z, t),
+        ("concat_cols", None): lambda t: concat_cols(z, z, t),
+        ("take_column", None): lambda t: take_column(z, 1, t),
+        ("reshape", None): lambda t: reshape(z, (3, 2), t),
+        ("tsum", None): lambda t: tsum(z, t),
+        ("downsample_pad", None): lambda t: downsample_pad(x, 4, t),
+        ("_mask_scale", None): lambda t: layers._mask_scale(w, Tensor(np.float64(1.5)), t),
+        ("_per_sample_masked_weights", None): lambda t: layers._per_sample_masked_weights(
+            w, s, s, t),
+    }
+
+
+NAMED_OPS = [
+    (tensor, name, mode)
+    for name in tensor.__all__
+    if "tape" in inspect.signature(getattr(tensor, name)).parameters
+    for mode in (("max", "avg") if name == "global_pool" else (None,))
+] + [(layers, "_mask_scale", None), (layers, "_per_sample_masked_weights", None)]
+
+
+@pytest.mark.parametrize(
+    "module,name,mode",
+    NAMED_OPS,
+    ids=[f"{m.__name__.rsplit('.', 1)[-1]}.{n}" + (f"-{mode}" if mode else "")
+         for m, n, mode in NAMED_OPS],
+)
+def test_backward_closures_are_named_after_their_op(module, name, mode):
+    """Tracing tools name a backward `<module>.<op>` from its closure's
+    __module__ and the __qualname__ before `.<locals>`; a closure built in
+    a helper would be timed under the helper's name. A public op that takes
+    a tape and has no case in `taped_calls` fails here with a KeyError."""
+    op = getattr(module, name)
+    tape = GradTape()
+    taped_calls()[name, mode](tape)
+    assert tape.records
+    for _, _, backward in tape.records:
+        assert backward.__module__ == op.__module__
+        assert backward.__qualname__.split(".<locals>")[0] == op.__qualname__

@@ -306,6 +306,23 @@ class TestDivergenceAbort:
         assert load_checkpoint(str(tmp_path / "crash.ckpt")).epoch == 1
 
 
+    def test_non_finite_evaluation_aborts(self, tmp_path):
+        """One step at lr 1e300 leaves finite weights near 1e300 and a finite
+        loss, but every forward then overflows: the end-of-epoch evaluation
+        aborts the run, which keeps the epoch-start state as crash.ckpt."""
+        cfg = replace(SMOKE, lr=1e300, epochs=1, milestones=(), train_subset=64,
+                      batch_size=64, policy=ConvPolicy("std", "std"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="diverged: evaluation after epoch 1"):
+                train(cfg, out_dir=str(tmp_path))
+        assert not (tmp_path / "last.ckpt").exists()
+        ckpt = load_checkpoint(str(tmp_path / "crash.ckpt"))
+        assert ckpt.epoch == 0
+        initial = build_run_model(cfg, np.random.default_rng(cfg.seed))
+        for name, t in restore_model(ckpt).named_parameters():
+            np.testing.assert_array_equal(t.data, dict(initial.named_parameters())[name].data)
+
+
 class TestSmokeRun:
     """One real 20-epoch run on separable synthetic data, shared below."""
 
@@ -397,6 +414,17 @@ class TestEvaluate:
         a = evaluate_model(model, images, labels, batch_size=7)
         b = evaluate_model(model, images, labels, batch_size=256)
         assert a == b
+
+    def test_non_finite_logits_raise(self):
+        """Overflowing logits have an all-NaN or inf argmax of 0; they must
+        not count as class-0 predictions."""
+        model = tiny_eval_model()
+        for _, t in model.named_parameters():
+            t.data *= 1e300
+        images = np.random.default_rng(0).normal(size=(4, 3, 16, 16))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="logits are not finite"):
+                evaluate_model(model, images, np.zeros(4, dtype=int))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
