@@ -59,20 +59,22 @@ def estimate_erf(
     if (rng is None) == (images is None):
         raise ValueError("estimate_erf needs exactly one probe source: rng or images")
     c, h, w = model.spec.input_shape
+    if images is not None and (np.ndim(images) != 4 or len(images) == 0
+                               or np.shape(images)[1:] != (c, h, w)):
+        raise ValueError(
+            f"probe images must be a non-empty S x {c} x {h} x {w} stack, "
+            f"got shape {np.shape(images)}"
+        )
 
     acc = np.zeros((h, w))
     unit = (0, 0)
     for s in range(num_samples):
         if images is not None:
-            xdat = np.asarray(images[s % len(images)], dtype=np.float64)
-            if xdat.shape != (c, h, w):
-                raise ValueError(
-                    f"probe image shape {xdat.shape} does not match input {(c, h, w)}"
-                )
-            x = Tensor(xdat[None])
+            x = Tensor(np.asarray(images[s % len(images)], dtype=np.float64)[None])
         else:
             x = Tensor(rng.normal(size=(1, c, h, w)))
-        tape = GradTape()
+        # only the input's adjoint is read: no weight or width adjoint is built
+        tape = GradTape(wrt=(x,))
         out = x
         for mod in model.modules[: layer_index + 1]:
             out = mod.forward(out, tape)

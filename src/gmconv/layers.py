@@ -9,8 +9,9 @@ A dynamic layer predicts per-sample widths (sigma1, sigma2) from a pooled
 descriptor of its own input through a small two-layer bottleneck and
 convolves each sample with the kernel under its own elliptic mask. Either
 masked layer is two tape ops, masked weight then convolution; the masking
-op reads the mask, and with a tape its width slopes, from the public views
-in ``masks``, and its one backward returns the weight and width adjoints.
+op reads the mask, and its width slopes when the tape needs a width
+adjoint, from the public views in ``masks``, and its one backward returns
+the weight and width adjoints.
 
 After training, a static layer's mask can be folded into the weights,
 yielding a plain convolution with identical outputs and zero mask cost.
@@ -101,11 +102,11 @@ def _mask_scale(weight: Tensor, sigma: Tensor, tape: GradTape | None) -> Tensor:
     out = Tensor(weight.data * m)
 
     if tape is not None:
-        dm = masks.circular_grad_values(raw, k)
+        dm = masks.circular_grad_values(raw, k) if tape.needs(sigma) else None
         wd = weight.data
 
         def backward(g: np.ndarray):
-            return g * m, np.asarray(np.sum(g * wd * dm))
+            return g * m, None if dm is None else np.asarray(np.sum(g * wd * dm))
 
         tape.record(out, (weight, sigma), backward)
     return out
@@ -121,11 +122,14 @@ def _per_sample_masked_weights(
     out = Tensor(weight.data[None] * m[:, None, None])
 
     if tape is not None:
-        g1, g2 = masks.elliptic_grad_batch(s1.data, s2.data, k)
+        need_w, need_s = tape.needs(weight), tape.needs(s1) or tape.needs(s2)
+        g1, g2 = masks.elliptic_grad_batch(s1.data, s2.data, k) if need_s else (None, None)
         wd = weight.data
 
         def backward(g: np.ndarray):
-            dw = np.einsum("nockl,nkl->ockl", g, m)
+            dw = np.einsum("nockl,nkl->ockl", g, m) if need_w else None
+            if not need_s:
+                return dw, None, None
             dm = np.einsum("nockl,ockl->nkl", g, wd)
             return dw, np.sum(dm * g1, axis=(1, 2)), np.sum(dm * g2, axis=(1, 2))
 

@@ -11,9 +11,12 @@ tensor that feeds several ops are summed out of place, never copied, so a
 
 Every op is a module-level function taking an optional ``tape`` keyword;
 with ``tape=None`` it is a pure forward evaluation. Tensors carry no
-trainable flag: the optimizer updates the parameters a model lists by
-name (``Model.named_parameters``), and adjoints are propagated to every
-input, since intermediates need them.
+trainable flag. Activity lives on the tape instead: ``GradTape(wrt=...)``
+names the leaves whose adjoints the caller reads, the tape keeps only the
+ops that depend on them, and those ops skip the adjoints of inputs that do
+not (a probe wants the input's adjoint and no weight's; a training step
+wants the parameters' and not the image's). ``GradTape()`` keeps every op
+and gives every input an adjoint.
 
 Convolution is flat-shift: the input is padded once onto flat per-sample
 grids, and each kernel tap is a zero-copy slice of them, so the forward is
@@ -78,26 +81,45 @@ class GradTape:
     order; it must not write into the adjoint it receives. An absent bias
     is recorded as a None input and gets no adjoint. `backward` pops the
     records newest-first, so it leaves the tape empty.
+
+    `wrt` lists the leaf tensors whose adjoints the caller will read; None
+    (the default) means every input. Activity is fixed while recording: a
+    tensor is needed if it is a `wrt` tensor (by identity) or the output of
+    a kept record, `record` drops an op none of whose inputs is needed, and
+    an op may read `needs` when it records to skip the adjoints it would
+    only throw away. `backward` gives a `.grad` only to needed tensors.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, wrt=None) -> None:
         self.records: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        # the wrt tensors stay referenced, so their ids cannot be reused
+        self._wrt = None if wrt is None else tuple(wrt)
+        self._active = None if wrt is None else {id(t) for t in self._wrt}
+
+    def needs(self, t: Tensor | None) -> bool:
+        """Whether `t` depends on `wrt`, so that its adjoint is wanted."""
+        return t is not None and (self._active is None or id(t) in self._active)
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
+        if self._active is not None:
+            if not any(map(self.needs, inputs)):
+                return
+            self._active.add(id(out))
         self.records.append((out, inputs, backward_fn))
 
     def backward(self, out: Tensor, seed: np.ndarray | None = None) -> None:
-        """Propagate adjoints from `out` back through every recorded op,
-        freeing each op output's adjoint once its record is replayed. Record
-        inputs start at `.grad = None`, so a parameter shared across tapes
-        carries no stale adjoint. The seed defaults to ones (for a scalar
-        loss: adjoint 1). A second call on the emptied tape raises.
+        """Propagate adjoints from `out` back through every kept op,
+        freeing each op output's adjoint once its record is replayed. Needed
+        record inputs start at `.grad = None`, so a parameter shared across
+        tapes carries no stale adjoint; other tensors' `.grad` is left
+        alone. The seed defaults to ones (for a scalar loss: adjoint 1). A
+        second call on the emptied tape raises.
         """
         if not self.records:
             raise RuntimeError("backward needs a recorded tape; each tape is used up by one call")
         for _, rec_inputs, _ in self.records:
             for t in rec_inputs:
-                if t is not None:
+                if self.needs(t):
                     t.grad = None
         if seed is None:
             out.grad = np.ones_like(out.data)
@@ -116,7 +138,7 @@ class GradTape:
                 continue
             for t, ig in zip(rec_inputs, backward_fn(g)):
                 # out of place: `add` hands one array to both of its inputs
-                if ig is not None:
+                if ig is not None and self.needs(t):
                     t.grad = ig if t.grad is None else t.grad + ig
 
 
@@ -153,6 +175,14 @@ def _conv_checks(x: np.ndarray, w: np.ndarray, b, stride: int, padding: int):
     return n, c, h, wdt, o, k, ho, wo
 
 
+def _grid_geometry(w: int, k: int, s: int, padding: int, ho: int, wo: int):
+    """Rows hg and width wg of each phase grid, and each tap's (i, j, phase,
+    flat offset); see `_to_grids`."""
+    hg, wg = ho + (k - 1) // s + 1, max(wo + (k - 1) // s, -(-(w + padding) // s))
+    taps = [(i, j, i % s * s + j % s, i // s * wg + j // s) for i in range(k) for j in range(k)]
+    return hg, wg, taps
+
+
 def _to_grids(x: np.ndarray, k: int, s: int, padding: int, ho: int, wo: int):
     """Pad x once into s*s phase grids, s*s x N x C x (hg*wg): phase (a, b)
     holds padded rows a::s and columns b::s, flattened at width wg. Output
@@ -161,11 +191,10 @@ def _to_grids(x: np.ndarray, k: int, s: int, padding: int, ho: int, wo: int):
     spare last row keeps it in bounds); the wg - Wo extra columns are dropped.
     Returns the grids, wg and each tap's (i, j, phase, flat offset)."""
     n, c, h, w = x.shape
-    hg, wg = ho + (k - 1) // s + 1, max(wo + (k - 1) // s, -(-(w + padding) // s))
+    hg, wg, taps = _grid_geometry(w, k, s, padding, ho, wo)
     xp = np.zeros((n, c, s * hg, s * wg))
     xp[:, :, padding : padding + h, padding : padding + w] = x
     grids = xp.reshape(n, c, hg, s, wg, s).transpose(3, 5, 0, 1, 2, 4)
-    taps = [(i, j, i % s * s + j % s, i // s * wg + j // s) for i in range(k) for j in range(k)]
     return np.ascontiguousarray(grids).reshape(s * s, n, c, hg * wg), wg, taps
 
 
@@ -181,23 +210,33 @@ def _conv_forward(xd, wd, bdat, stride: int, padding: int, ho: int, wo: int) -> 
     return out.copy() if bdat is None else out + bdat[:, None, None]
 
 
-def _conv_grads(g: np.ndarray, xd, wd, has_bias: bool, stride: int, padding: int):
-    """(dx, dw, db) of `_conv_forward` for the output adjoint g; db is None
-    without a bias. The grids are rebuilt, not kept alive by the closure."""
-    (n, o, ho, wo), (c, h, w), s = g.shape, xd.shape[1:], stride
-    grids, wg, taps = _to_grids(xd, wd.shape[-1], s, padding, ho, wo)
+def _conv_grads(g: np.ndarray, xd, wd, stride: int, padding: int,
+                need_x: bool, need_w: bool, need_b: bool):
+    """(dx, dw, db) of `_conv_forward` for the output adjoint g. An adjoint
+    that is not needed (db always, without a bias) is not computed and comes
+    back as None. The grids that dw reads are rebuilt, not kept alive by the
+    closure."""
+    (n, o, ho, wo), (c, h, w), s, k = g.shape, xd.shape[1:], stride, wd.shape[-1]
+    hg, wg, taps = _grid_geometry(w, k, s, padding, ho, wo)
     gg = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wg - wo))).reshape(n, o, ho * wg)
-    wt = np.moveaxis(wd, (-2, -1), (0, 1)).copy()
-    dw, dgrids = np.empty_like(wt), np.zeros_like(grids)
-    for i, j, ph, off in taps:
-        dw_t = gg @ grids[ph, :, :, off : off + ho * wg].swapaxes(-1, -2)
-        dw[i, j] = dw_t if wd.ndim == 5 else dw_t.sum(axis=0)
-        dgrids[ph, :, :, off : off + ho * wg] += wt[i, j].swapaxes(-1, -2) @ gg
-    # interleave the phases back onto the padded input, then crop
-    dxp = dgrids.reshape(s, s, n, c, -1, wg).transpose(2, 3, 4, 0, 5, 1).reshape(n, c, -1, s * wg)
-    dx = dxp[:, :, padding : padding + h, padding : padding + w]
-    db = g.sum(axis=(0, 2, 3)) if has_bias else None
-    return dx, np.moveaxis(dw, (0, 1), (-2, -1)).copy(), db
+    dx = dw = None
+    if need_w:
+        grids = _to_grids(xd, k, s, padding, ho, wo)[0]
+        dw = np.empty((k, k) + wd.shape[:-2])
+        for i, j, ph, off in taps:
+            dw_t = gg @ grids[ph, :, :, off : off + ho * wg].swapaxes(-1, -2)
+            dw[i, j] = dw_t if wd.ndim == 5 else dw_t.sum(axis=0)
+        dw = np.moveaxis(dw, (0, 1), (-2, -1)).copy()
+    if need_x:
+        wt = np.moveaxis(wd, (-2, -1), (0, 1)).copy()
+        dgrids = np.zeros((s * s, n, c, hg * wg))
+        for i, j, ph, off in taps:
+            dgrids[ph, :, :, off : off + ho * wg] += wt[i, j].swapaxes(-1, -2) @ gg
+        # interleave the phases back onto the padded input, then crop
+        dxp = dgrids.reshape(s, s, n, c, -1, wg).transpose(2, 3, 4, 0, 5, 1).reshape(n, c, -1, s * wg)
+        dx = dxp[:, :, padding : padding + h, padding : padding + w]
+    db = g.sum(axis=(0, 2, 3)) if need_b else None
+    return dx, dw, db
 
 
 def conv2d(
@@ -220,9 +259,10 @@ def conv2d(
 
     if tape is not None:
         xd, wd = x.data, w.data
+        need = tape.needs(x), tape.needs(w), tape.needs(b)
 
         def backward(g: np.ndarray):
-            return _conv_grads(g, xd, wd, b is not None, stride, padding)
+            return _conv_grads(g, xd, wd, stride, padding, *need)
 
         tape.record(out, (x, w, b), backward)
     return out
@@ -280,9 +320,10 @@ def conv2d_per_sample(
 
     if tape is not None:
         xd, wd = x.data, wb.data
+        need = tape.needs(x), tape.needs(wb), tape.needs(b)
 
         def backward(g: np.ndarray):
-            return _conv_grads(g, xd, wd, b is not None, stride, padding)
+            return _conv_grads(g, xd, wd, stride, padding, *need)
 
         tape.record(out, (x, wb, b), backward)
     return out
@@ -369,11 +410,13 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None, tape: GradTape | None =
 
 
 def relu(x: Tensor, tape: GradTape | None = None) -> Tensor:
-    """Elementwise max(0, x); the subgradient at exactly 0 is 0."""
-    gate = x.data > 0.0
-    out = Tensor(np.where(gate, x.data, 0.0))
+    """Elementwise max(0, x); the subgradient at exactly 0 is 0. NaN is not
+    clamped: it passes forward, and its adjoint passes backward, so an
+    overflowed activation cannot vanish into a zero output or map."""
+    off = x.data <= 0.0
+    out = Tensor(np.where(off, 0.0, x.data))
     if tape is not None:
-        tape.record(out, (x,), lambda g: (np.where(gate, g, 0.0),))
+        tape.record(out, (x,), lambda g: (np.where(off, 0.0, g),))
     return out
 
 

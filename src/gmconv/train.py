@@ -280,6 +280,7 @@ def train(
     _check_compat(config, model.spec, test_images, test_labels)
 
     params = model.named_parameters()
+    param_tensors = [t for _, t in params]
     momentum_buffers = {n: np.zeros_like(t.data) for n, t in params}
     start_epoch = 0
     if resume is not None:
@@ -314,7 +315,7 @@ def train(
             batch = train_images[idx]
             if config.augment != "none":
                 batch = augment_batch(batch, config.augment, rng)
-            tape = GradTape()
+            tape = GradTape(wrt=param_tensors)
             logits = model.forward(Tensor(batch), tape)
             loss = softmax_cross_entropy(logits, train_labels[idx], tape)
             if np.isfinite(loss.data):

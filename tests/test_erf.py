@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from gmconv import erf as erf_module
 from gmconv import masks
 from gmconv.erf import ErfMap, dump_layer_masks, erf_radius, estimate_erf
 from gmconv.layers import _per_sample_masked_weights
 from gmconv.models import ConvPolicy, LayerSpec, Model, ModelSpec, apply_policy, build_model
-from gmconv.tensor import Tensor
+from gmconv.tensor import GradTape, Tensor
 from util import copy_shared_params
 
 
@@ -113,6 +114,12 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_erf(model, 0, 1, images=np.zeros((1, 1, 4, 4)))
 
+    @pytest.mark.parametrize("shape", [(0, 1, 9, 9), (1, 9, 9)], ids=["empty", "3-D"])
+    def test_rejects_empty_or_unstacked_images(self, shape):
+        model = all_ones_model(1, hw=9)
+        with pytest.raises(ValueError, match="non-empty"):
+            estimate_erf(model, 0, 1, images=np.zeros(shape))
+
     def test_needs_exactly_one_probe_source(self):
         model = all_ones_model(1, hw=9)
         imgs = np.zeros((1, 1, 9, 9))
@@ -142,11 +149,66 @@ class TestEstimate:
             with pytest.raises(FloatingPointError, match="not finite"):
                 estimate_erf(model, 6, 2, np.random.default_rng(13))
 
+    @pytest.mark.parametrize("index", [3, 7])
+    def test_overflow_past_a_relu_raises(self, index):
+        """A NaN activation must survive the ReLU that follows it: zeroed
+        there, the probe would report an all-zero map instead."""
+        spec = apply_policy(build_model("cnn-small", 10), ConvPolicy("static", "static"))
+        model = Model(spec, np.random.default_rng(12))
+        for _, t in model.named_parameters():
+            t.data *= 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="not finite"):
+                estimate_erf(model, index, 2, np.random.default_rng(13))
+
     def test_normalized_to_unit_peak(self):
         model = Model(build_model("cnn-small", 10), np.random.default_rng(12))
         erf = estimate_erf(model, 2, 4, np.random.default_rng(13))
         assert erf.values.max() == 1.0
         assert np.all(erf.values >= 0.0)
+
+
+class TestPrunedProbe:
+    """estimate_erf records with wrt=(x,): only the input's adjoint is built."""
+
+    @staticmethod
+    def masked_model():
+        spec = apply_policy(build_model("cnn-small", 10), ConvPolicy("dynamic", "static"))
+        return Model(spec, np.random.default_rng(21))
+
+    def test_map_matches_an_unpruned_probe_loop(self):
+        model = self.masked_model()
+        layer, probes = 6, 3
+        got = estimate_erf(model, layer, probes, np.random.default_rng(22))
+        rng, acc = np.random.default_rng(22), np.zeros((32, 32))
+        for _ in range(probes):
+            x = Tensor(rng.normal(size=(1, 3, 32, 32)))
+            tape = GradTape()
+            out = x
+            for mod in model.modules[: layer + 1]:
+                out = mod.forward(out, tape)
+            seed = np.zeros_like(out.data)
+            seed[0, :, out.data.shape[2] // 2, out.data.shape[3] // 2] = 1.0
+            tape.backward(out, seed)
+            acc += np.abs(x.grad[0]).sum(axis=0)
+        mean = acc / probes
+        np.testing.assert_array_equal(got.values, mean / mean.max())
+
+    def test_no_width_slope_or_mask_record(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a probe evaluated static mask slopes")
+
+        kept = []
+
+        class SpyTape(GradTape):
+            def backward(self, out, seed=None):
+                kept.extend(fn.__qualname__ for _, _, fn in self.records)
+                super().backward(out, seed)
+
+        monkeypatch.setattr(masks, "circular_grad_values", refuse)
+        monkeypatch.setattr(erf_module, "GradTape", SpyTape)
+        estimate_erf(self.masked_model(), 6, 2, np.random.default_rng(23))
+        assert kept and not any(q.startswith("_mask_scale") for q in kept)
 
 
 class TestMaskedVsPlainErf:

@@ -374,6 +374,15 @@ class TestActivations:
         tape.backward(relu(x, tape), seed=np.array([5.0]))
         np.testing.assert_array_equal(x.grad, [0.0])
 
+    def test_relu_passes_nan_and_keeps_every_other_value(self):
+        x = Tensor([np.nan, -np.inf, -1.0, -0.0, 0.0, 5e-324, np.inf])
+        tape = GradTape()
+        out = relu(x, tape)
+        np.testing.assert_array_equal(out.data, [np.nan, 0.0, 0.0, 0.0, 0.0, 5e-324, np.inf])
+        assert not np.signbit(out.data[3])
+        tape.backward(out, seed=np.full(7, 2.0))
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0])
+
     def test_softplus_value_and_grad(self):
         x = Tensor([-700.0, -1.0, 0.0, 1.0, 700.0])
         out = softplus(x)
@@ -584,6 +593,65 @@ class TestTapeMechanics:
         out = conv2d(x, w, Tensor(rng.normal(size=4)), padding=1)
         assert np.all(np.isfinite(out.data))
         assert np.all(np.isfinite(softplus(Tensor(np.array([1e6, -1e6]))).data))
+
+
+class TestActivity:
+    """GradTape(wrt=...) keeps only the ops that depend on wrt."""
+
+    def test_needs_follows_kept_records(self):
+        x, c = Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0]))
+        tape = GradTape(wrt=(x,))
+        const = mul(c, c, tape)
+        live = mul(x, const, tape)
+        assert tape.needs(x) and tape.needs(live)
+        assert not tape.needs(c) and not tape.needs(const) and not tape.needs(None)
+        assert [rec[0] for rec in tape.records] == [live]
+        assert GradTape().needs(c) and not GradTape().needs(None)
+
+    def test_backward_leaves_unneeded_adjoints_alone(self):
+        x, c = Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0]))
+        tape = GradTape(wrt=(x,))
+        tape.backward(tsum(mul(x, c, tape), tape))
+        np.testing.assert_array_equal(x.grad, c.data)
+        assert c.grad is None
+
+    @pytest.mark.parametrize("per_sample", [False, True])
+    def test_conv_grads_skip_what_is_not_needed(self, per_sample):
+        rng = np.random.default_rng(31)
+        xd = rng.normal(size=(2, 3, 9, 9))
+        wd = rng.normal(size=(2, 4, 3, 3, 3) if per_sample else (4, 3, 3, 3))
+        g = rng.normal(size=(2, 4, 5, 5))
+        full = tensor._conv_grads(g, xd, wd, 2, 1, True, True, True)
+        no_w = tensor._conv_grads(g, xd, wd, 2, 1, True, False, False)
+        no_x = tensor._conv_grads(g, xd, wd, 2, 1, False, True, True)
+        assert no_w[1] is None and no_w[2] is None and no_x[0] is None
+        np.testing.assert_array_equal(no_w[0], full[0])
+        np.testing.assert_array_equal(no_x[1], full[1])
+        np.testing.assert_array_equal(no_x[2], full[2])
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_train_step_grads_match_the_full_tape(self, mode):
+        """One batch-8 step: every parameter adjoint is bit-identical with
+        wrt=params, and the image gets none."""
+        from gmconv.models import ConvPolicy, Model, apply_policy, build_model
+
+        spec = apply_policy(build_model("resnet20-slim", 10, width=0.25), ConvPolicy(mode, mode))
+        model = Model(spec, np.random.default_rng(32))
+        params = [t for _, t in model.named_parameters()]
+        rng = np.random.default_rng(33)
+        images, labels = rng.normal(size=(8, 3, 32, 32)), rng.integers(0, 10, size=8)
+
+        def step(tape):
+            x = Tensor(images)
+            tape.backward(softmax_cross_entropy(model.forward(x, tape), labels, tape))
+            return x.grad, [t.grad for t in params]
+
+        image_grad, want = step(GradTape())
+        assert image_grad is not None
+        image_grad, got = step(GradTape(wrt=params))
+        assert image_grad is None
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 def taped_calls():
