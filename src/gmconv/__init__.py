@@ -9,6 +9,8 @@ model zoo, receptive-field probing, dataset ingestion, SGD training, and
 a command-line surface.
 """
 
+from types import ModuleType as _ModuleType
+
 from .checkpoint import (
     Checkpoint,
     checkpoint_from_model,
@@ -79,62 +81,8 @@ from .train import (
 
 __version__ = "0.1.0"
 
+# the public names imported above, in import order; submodules are not exports
 __all__ = [
-    "Checkpoint",
-    "checkpoint_from_model",
-    "load_checkpoint",
-    "restore_model",
-    "save_checkpoint",
-    "DataError",
-    "DatasetSource",
-    "augment_batch",
-    "find_cifar10_root",
-    "load_dataset",
-    "make_synthetic",
-    "ErfMap",
-    "dump_layer_masks",
-    "erf_radius",
-    "estimate_erf",
-    "Conv2dLayer",
-    "DynamicGMConvLayer",
-    "DynamicSigmaModule",
-    "PATTERNS",
-    "StaticGMConvLayer",
-    "fold_mask",
-    "GaussianMask",
-    "SIGMA_MAX",
-    "SIGMA_MIN",
-    "circular_mask",
-    "circular_values",
-    "clamp_sigma",
-    "elliptic_mask",
-    "elliptic_values",
-    "ConvPolicy",
-    "LayerSpec",
-    "Model",
-    "ModelSpec",
-    "apply_policy",
-    "build_model",
-    "count_flops",
-    "count_params",
-    "spec_from_json",
-    "spec_to_json",
-    "GradTape",
-    "Tensor",
-    "conv2d",
-    "dense",
-    "global_pool",
-    "relu",
-    "softmax_cross_entropy",
-    "softplus",
-    "ConfigError",
-    "EpochMetrics",
-    "TrainConfig",
-    "config_from_json",
-    "config_to_json",
-    "evaluate",
-    "evaluate_model",
-    "load_config",
-    "metrics_to_csv",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

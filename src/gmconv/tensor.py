@@ -18,12 +18,19 @@ not (a probe wants the input's adjoint and no weight's; a training step
 wants the parameters' and not the image's). ``GradTape()`` keeps every op
 and gives every input an adjoint.
 
-Convolution is flat-shift: the input is padded once onto flat per-sample
+Convolution is flat-shift: the input is padded onto flat per-sample
 grids, and each kernel tap is a zero-copy slice of them, so the forward is
 K*K GEMMs ``out += W_t @ slice_t`` and no column matrix is built; the
-backward adds ``W_t^T @ g`` into the same slices. ``conv2d`` and
-``conv2d_per_sample`` share this core. The direct-loop references are kept
-as internal oracles; the two paths must agree to near machine precision.
+backward adds ``W_t^T @ g`` into the same slices. The whole conv, forward
+and gradients, runs one batch chunk at a time: a chunk holds as many
+samples as keep the output accumulator and the phase grids within
+``_BLOCK_BYTES`` (about an L2 cache), so all K*K taps reuse data that is
+already in cache, and nothing full-batch is built but the input, the
+output adjoint and the results. Every value is summed in the same order
+whatever the chunks; the shared-kernel dW carries its running sum over the
+batch from chunk to chunk. ``conv2d`` and ``conv2d_per_sample`` share
+this core. The direct-loop references are kept as internal oracles; the
+two paths must agree to near machine precision.
 """
 
 from __future__ import annotations
@@ -175,67 +182,137 @@ def _conv_checks(x: np.ndarray, w: np.ndarray, b, stride: int, padding: int):
     return n, c, h, wdt, o, k, ho, wo
 
 
-def _grid_geometry(w: int, k: int, s: int, padding: int, ho: int, wo: int):
-    """Rows hg and width wg of each phase grid, and each tap's (i, j, phase,
-    flat offset); see `_to_grids`."""
+# Bytes of per-sample conv state (output accumulator and phase grids) that
+# one batch chunk may hold, so that it stays in a core's L2 cache
+_BLOCK_BYTES = 1 << 20
+
+
+def _conv_plan(x_shape, o: int, k: int, s: int, padding: int, ho: int, wo: int):
+    """The flat-shift plan of a conv; see `_to_grids`. Returns the rows hg
+    and width wg of each phase grid, each tap's (i, j, phase, flat offset),
+    each phase's (index, input slice, grid slice), and the batch chunk size:
+    as many samples as keep (O + C*s*s)*hg*wg floats each within
+    `_BLOCK_BYTES`, and at least one."""
+    n, c, h, w = x_shape
     hg, wg = ho + (k - 1) // s + 1, max(wo + (k - 1) // s, -(-(w + padding) // s))
     taps = [(i, j, i % s * s + j % s, i // s * wg + j // s) for i in range(k) for j in range(k)]
-    return hg, wg, taps
+
+    def lanes(extent, a):
+        # input lines r0::s sit at phase a of the padded extent, from grid line y0
+        r0 = (a - padding) % s
+        y0 = (r0 + padding) // s
+        return slice(r0, extent, s), slice(y0, y0 + len(range(r0, extent, s)))
+
+    rows, cols = [lanes(h, a) for a in range(s)], [lanes(w, b) for b in range(s)]
+    phases = [(a * s + b, (..., ri, ci), (..., ry, cy))
+              for a, (ri, ry) in enumerate(rows) for b, (ci, cy) in enumerate(cols)]
+    chunk = min(n, max(1, _BLOCK_BYTES // (8 * (o + c * s * s) * hg * wg)))
+    return hg, wg, taps, phases, chunk
 
 
-def _to_grids(x: np.ndarray, k: int, s: int, padding: int, ho: int, wo: int):
-    """Pad x once into s*s phase grids, s*s x N x C x (hg*wg): phase (a, b)
-    holds padded rows a::s and columns b::s, flattened at width wg. Output
-    (y, x) of tap (i, j) is element y*wg + x + (i//s)*wg + j//s of phase
-    (i%s, j%s), so a tap over all outputs is one contiguous Ho*wg slice (a
-    spare last row keeps it in bounds); the wg - Wo extra columns are dropped.
-    Returns the grids, wg and each tap's (i, j, phase, flat offset)."""
-    n, c, h, w = x.shape
-    hg, wg, taps = _grid_geometry(w, k, s, padding, ho, wo)
-    xp = np.zeros((n, c, s * hg, s * wg))
-    xp[:, :, padding : padding + h, padding : padding + w] = x
-    grids = xp.reshape(n, c, hg, s, wg, s).transpose(3, 5, 0, 1, 2, 4)
-    return np.ascontiguousarray(grids).reshape(s * s, n, c, hg * wg), wg, taps
+def _to_grids(x: np.ndarray, grids: np.ndarray, phases) -> None:
+    """Copy x (m x C x H x W) into the interiors of its s*s phase grids,
+    s*s x m x C x hg x wg, whose zero padding is left untouched. Phase
+    (a, b) holds padded rows a::s and columns b::s, flattened at width wg.
+    Output (y, x) of tap (i, j) is element y*wg + x + (i//s)*wg + j//s of
+    phase (i%s, j%s), so a tap over all outputs is one contiguous Ho*wg
+    slice (a spare last row keeps it in bounds); the wg - Wo extra columns
+    are dropped."""
+    for ph, src, dst in phases:
+        grids[ph][dst] = x[src]
+
+
+def _weight_taps(wd: np.ndarray) -> np.ndarray:
+    """K x K x O x C (or K x K x m x O x C per sample) tap matrices of wd."""
+    return np.moveaxis(wd, (-2, -1), (0, 1)).copy()
 
 
 def _conv_forward(xd, wd, bdat, stride: int, padding: int, ho: int, wo: int) -> np.ndarray:
-    """Sum of `W_t @ slice_t` over taps; W_t is O x C, or N x O x C per sample."""
-    n, o = xd.shape[0], wd.shape[-4]
-    grids, wg, taps = _to_grids(xd, wd.shape[-1], stride, padding, ho, wo)
-    wt = np.moveaxis(wd, (-2, -1), (0, 1)).copy()
-    out = np.zeros((n, o, ho * wg))
-    for i, j, ph, off in taps:
-        out += wt[i, j] @ grids[ph, :, :, off : off + ho * wg]
-    out = out.reshape(n, o, ho, wg)[..., :wo]
-    return out.copy() if bdat is None else out + bdat[:, None, None]
+    """Sum of `W_t @ slice_t` over taps, one batch chunk at a time; W_t is
+    O x C, or m x O x C per sample."""
+    (n, c), o, k, s = xd.shape[:2], wd.shape[-4], wd.shape[-1], stride
+    hg, wg, taps, phases, chunk = _conv_plan(xd.shape, o, k, s, padding, ho, wo)
+    span = ho * wg
+    grids = np.zeros((s * s, chunk, c, hg, wg))
+    acc, prod = np.empty((2, chunk, o, span))
+    out = np.empty((n, o, ho, wo))
+    wt = None if wd.ndim == 5 else _weight_taps(wd)
+    for a in range(0, n, chunk):
+        m = min(chunk, n - a)
+        _to_grids(xd[a : a + m], grids[:, :m], phases)
+        flat = grids[:, :m].reshape(s * s, m, c, hg * wg)
+        w_taps = _weight_taps(wd[a : a + m]) if wt is None else wt
+        acc[:m] = 0
+        for i, j, ph, off in taps:
+            np.matmul(w_taps[i, j], flat[ph, :, :, off : off + span], out=prod[:m])
+            acc[:m] += prod[:m]
+        res = acc[:m].reshape(m, o, ho, wg)[..., :wo]
+        if bdat is None:
+            out[a : a + m] = res
+        else:
+            np.add(res, bdat[:, None, None], out=out[a : a + m])
+    return out
 
 
 def _conv_grads(g: np.ndarray, xd, wd, stride: int, padding: int,
                 need_x: bool, need_w: bool, need_b: bool):
-    """(dx, dw, db) of `_conv_forward` for the output adjoint g. An adjoint
-    that is not needed (db always, without a bias) is not computed and comes
-    back as None. The grids that dw reads are rebuilt, not kept alive by the
-    closure."""
-    (n, o, ho, wo), (c, h, w), s, k = g.shape, xd.shape[1:], stride, wd.shape[-1]
-    hg, wg, taps = _grid_geometry(w, k, s, padding, ho, wo)
-    gg = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wg - wo))).reshape(n, o, ho * wg)
-    dx = dw = None
-    if need_w:
-        grids = _to_grids(xd, k, s, padding, ho, wo)[0]
-        dw = np.empty((k, k) + wd.shape[:-2])
-        for i, j, ph, off in taps:
-            dw_t = gg @ grids[ph, :, :, off : off + ho * wg].swapaxes(-1, -2)
-            dw[i, j] = dw_t if wd.ndim == 5 else dw_t.sum(axis=0)
-        dw = np.moveaxis(dw, (0, 1), (-2, -1)).copy()
-    if need_x:
-        wt = np.moveaxis(wd, (-2, -1), (0, 1)).copy()
-        dgrids = np.zeros((s * s, n, c, hg * wg))
-        for i, j, ph, off in taps:
-            dgrids[ph, :, :, off : off + ho * wg] += wt[i, j].swapaxes(-1, -2) @ gg
-        # interleave the phases back onto the padded input, then crop
-        dxp = dgrids.reshape(s, s, n, c, -1, wg).transpose(2, 3, 4, 0, 5, 1).reshape(n, c, -1, s * wg)
-        dx = dxp[:, :, padding : padding + h, padding : padding + w]
+    """(dx, dw, db) of `_conv_forward` for the output adjoint g, one batch
+    chunk at a time. An adjoint that is not needed (db always, without a
+    bias) is not computed and comes back as None. The grids that dw reads
+    are rebuilt, not kept alive by the closure. A shared dw adds the
+    per-sample tap products in sample order, whatever the chunks: slot 0 of
+    its buffer carries the running sum from chunk to chunk."""
     db = g.sum(axis=(0, 2, 3)) if need_b else None
+    dx = dw = None
+    if not (need_x or need_w):
+        return dx, dw, db
+    (n, o, ho, wo), c, s, k = g.shape, xd.shape[1], stride, wd.shape[-1]
+    hg, wg, taps, phases, chunk = _conv_plan(xd.shape, o, k, s, padding, ho, wo)
+    span, shared = ho * wg, wd.ndim == 4
+    gpad = np.zeros((chunk, o, ho, wg))
+    if need_w:
+        grids = np.zeros((s * s, chunk, c, hg, wg))
+        dw = np.empty((chunk + 1, k, k, o, c)) if shared else np.empty(wd.shape)
+        dw_taps = dw if shared else np.empty((chunk, k, k, o, c))
+    if need_x:
+        dx = np.empty(xd.shape)
+        dgrids = np.empty((s * s, chunk, c, hg * wg))
+        # tap products at the grid's row pitch; the zero tail of each row
+        # lets a tap's add run over one contiguous range
+        prod = np.zeros((chunk, c, hg * wg))
+        wt = _weight_taps(wd) if shared else None
+    for a in range(0, n, chunk):
+        m = min(chunk, n - a)
+        gpad[:m, :, :, :wo] = g[a : a + m]
+        gg = gpad[:m].reshape(m, o, span)
+        if need_w:
+            _to_grids(xd[a : a + m], grids[:, :m], phases)
+            flat = grids[:, :m].reshape(s * s, m, c, hg * wg)
+            # a shared dw's first product starts the carry in slot 0
+            lo = 1 if shared and a else 0
+            for i, j, ph, off in taps:
+                np.matmul(gg, flat[ph, :, :, off : off + span].swapaxes(-1, -2),
+                          out=dw_taps[lo : lo + m, i, j])
+            if shared:
+                for r in range(1, lo + m):
+                    dw[0] += dw[r]
+            else:
+                dw[a : a + m] = np.moveaxis(dw_taps[:m], (1, 2), (-2, -1))
+        if need_x:
+            w_taps = _weight_taps(wd[a : a + m]) if wt is None else wt
+            dg = dgrids[:, :m].reshape(s * s, -1)
+            dg[...] = 0
+            lines = (m * c - 1) * hg * wg + span
+            tail = prod[:m].reshape(-1)[:lines]
+            for i, j, ph, off in taps:
+                np.matmul(w_taps[i, j].swapaxes(-1, -2), gg, out=prod[:m, :, :span])
+                dg[ph, off : off + lines] += tail
+            # each phase's interior goes back to the input lines it came from
+            dg = dg.reshape(s * s, m, c, hg, wg)
+            for ph, src, dst in phases:
+                dx[a : a + m][src] = dg[ph][dst]
+    if need_w and shared:
+        dw = np.moveaxis(dw[0], (0, 1), (-2, -1)).copy()
     return dx, dw, db
 
 

@@ -1,8 +1,10 @@
 """Forward values and reverse-mode gradients of the tensor engine."""
 
 import inspect
+import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -215,16 +217,77 @@ def test_conv_builds_no_column_matrix():
     assert backward_peak < 1.25 * col_bytes
 
 
+def test_conv_working_set_stays_chunk_sized():
+    """A batch-64 conv at C=O=8, 32x32, K=3, p=1 runs in several batch
+    chunks, so neither pass builds a full-batch buffer: the forward peak net
+    of the output, and the backward peak net of the output adjoint and the
+    input and weight adjoints, stay below the bytes of the full-batch phase
+    grids (s*s*N*C*hg*wg floats, with hg = 35 and wg = 34 here)."""
+    n, c, o, hw, k = 64, 8, 8, 32, 3
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(n, c, hw, hw)))
+    w = Tensor(rng.normal(size=(o, c, k, k)))
+    seed = rng.normal(size=(n, o, hw, hw))
+    grid_bytes = n * c * 35 * 34 * 8
+    tracemalloc.start()
+    try:
+        tape = GradTape()
+        before = tracemalloc.get_traced_memory()[0]
+        y = conv2d(x, w, stride=1, padding=1, tape=tape)
+        forward_peak = tracemalloc.get_traced_memory()[1] - before - y.data.nbytes
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        tape.backward(y, seed)
+        adjoints = seed.nbytes + x.grad.nbytes + w.grad.nbytes
+        backward_peak = tracemalloc.get_traced_memory()[1] - before - adjoints
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < grid_bytes
+    assert backward_peak < grid_bytes
+
+
 @st.composite
-def conv_cases(draw):
+def conv_cases(draw, max_batch=3):
     """A random conv geometry (H != W allowed; K even or odd, up to the
     padded extent) and a seed for its arrays."""
-    n, c, o = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n, c, o = draw(st.integers(1, max_batch)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     h, wdt = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     s, p = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     k = draw(st.integers(1, min(5, h + 2 * p, wdt + 2 * p)))
     geometry = (n, c, h, wdt, o, k, s, p)
     return geometry, draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@given(conv_cases(max_batch=5))
+def test_batch_chunks_change_no_value(case):
+    """Forward and every (need_x, need_w, need_b) gradient are bit-identical
+    whether the batch runs as one chunk, as one-sample chunks, or as chunks
+    of 2 or 3 samples with a ragged last one."""
+    (n, c, h, wdt, o, k, s, p), per_sample, has_bias, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c, h, wdt))
+    w = rng.normal(size=(n, o, c, k, k) if per_sample else (o, c, k, k))
+    b = rng.normal(size=o) if has_bias else None
+    ho, wo = (h + 2 * p - k) // s + 1, (wdt + 2 * p - k) // s + 1
+    g = rng.normal(size=(n, o, ho, wo))
+    hg, wg, *_, chunk = tensor._conv_plan(x.shape, o, k, s, p, ho, wo)
+    assert chunk == n
+
+    def run():
+        grads = [tensor._conv_grads(g, x, w, s, p, *need)
+                 for need in itertools.product((False, True), repeat=3)]
+        return [tensor._conv_forward(x, w, b, s, p, ho, wo)] + [a for gs in grads for a in gs]
+
+    want = run()
+    for per_chunk in (1, 2, 3):
+        block = per_chunk * 8 * (o + c * s * s) * hg * wg
+        with mock.patch.object(tensor, "_BLOCK_BYTES", block):
+            assert tensor._conv_plan(x.shape, o, k, s, p, ho, wo)[-1] == min(per_chunk, n)
+            got = run()
+        for value, expected in zip(got, want):
+            assert (value is None) == (expected is None)
+            if value is not None:
+                assert np.array_equal(value, expected)
 
 
 @given(conv_cases())
