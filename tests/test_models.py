@@ -1,5 +1,7 @@
 """Model specs, policy rewriting, accounting, and the runtime network."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,23 @@ class TestBuilders:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             build_model("resnet50", 10)
+
+    @pytest.mark.parametrize(
+        "name, width, digest",
+        [
+            ("resnet20-slim", 0.25, "c91e8959c1bc6b13f4412d8bc47a376fe21e3b499a31ab648ed710d2a403f83b"),
+            ("resnet20-slim", 0.5, "3da23a29059644de6cb14b2c15eb9887e09f709ad87a80a22e7da3684ceede2c"),
+            ("resnet20-slim", 1.0, "1c52992f695e69de7e8b0fceff0fcf2ae9b58a28edc01b354b6060f3e1f317aa"),
+            ("resnet20-slim", 2.0, "236ce7bd2358c289403aa672b5114e439ef0471896777e7dca6c5081db0b7ac6"),
+            ("cnn-small", 1.0, "2f3b85c3a4d5bcaf10b5415f80d3d7bd202c8e4d43c5b97516ab73640f5b58e0"),
+            ("alexnet-lite", 1.0, "6ce63859f3a9231a9b69c71f1051291e4ac6c27a98d97e8eba08dca11fd86917"),
+        ],
+    )
+    def test_spec_is_pinned(self, name, width, digest):
+        """The shipped nets' JSON specs, sha256-pinned: a change to how the
+        zoo is written down must build the same nets."""
+        text = spec_to_json(build_model(name, 10, width))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_single_conv_param_arithmetic(self):
         layers = (
