@@ -20,6 +20,7 @@ normalization never divides by a denormal even at the smallest sigma.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,12 @@ class GaussianMask:
 
 def _offsets(kernel_size: int) -> np.ndarray:
     """1D cell offsets from the center at (K-1)/2; half-integers for even K."""
-    k = int(kernel_size)
+    try:
+        k = operator.index(kernel_size)  # not int(): 3.9 is no kernel size
+    except TypeError:
+        k = 0  # rejected below, with every size under 1
     if k < 1:
-        raise ValueError(f"kernel_size must be >= 1, got {kernel_size}")
+        raise ValueError(f"kernel_size must be an integer >= 1, got {kernel_size!r}")
     return np.arange(k, dtype=np.float64) - (k - 1) / 2.0
 
 

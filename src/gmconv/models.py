@@ -2,11 +2,12 @@
 
 A ModelSpec is an ordered list of layer descriptors (conv variants, relu,
 global pool, dense, residual block) with stem/body/head role tags. Specs
-are pure values: they can be built by name, rewritten by a ConvPolicy
-(which decides where masked convolutions go), serialized to JSON, and
-instantiated into a runtime Model with He-initialized parameters. One
-spec-level rewrite, ``_map_convs``, reaches every conv descriptor (block
-convs included) for both policy application and folding.
+are pure values: they can be built by name from one table (``_NETS``,
+every net scaled by ``width``), rewritten by a ConvPolicy (which decides
+where masked convolutions go), serialized to JSON, and instantiated into a
+runtime Model with He-initialized parameters. One spec-level rewrite,
+``_map_convs``, reaches every conv descriptor (block convs included) for
+both policy application and folding.
 
 Each structural fact is stated once. A LayerSpec checks its own fields;
 one walk over a spec (``_walk_spec``) checks that the layers compose and
@@ -266,92 +267,50 @@ def check_spec(spec: ModelSpec) -> None:
 # builders
 
 
-def _ch(base: int, width: float) -> int:
-    return max(1, round(base * width))
+# Each net's stem and body items at width 1.0, in order; the first is the
+# stem. ("conv", out, kernel, stride, padding) is a conv followed by a relu;
+# ("block", out, stride) is a residual block of two 3x3, padding-1 convs.
+_NETS = {
+    "resnet20-slim": (("conv", 16, 3, 1, 1),)
+    + (("block", 16, 1),) * 3
+    + (("block", 32, 2),) + (("block", 32, 1),) * 2
+    + (("block", 64, 2),) + (("block", 64, 1),) * 2,
+    "cnn-small": (
+        ("conv", 16, 3, 1, 1), ("conv", 32, 3, 2, 1), ("conv", 32, 3, 1, 1), ("conv", 64, 3, 2, 1)
+    ),
+    # two oversized kernels to exercise masking on wide grids
+    "alexnet-lite": (("conv", 16, 11, 2, 5), ("conv", 32, 5, 2, 2)),
+}
 
 
 def build_model(name: str, num_classes: int, width: float = 1.0) -> ModelSpec:
-    """Construct one of the shipped architectures as an all-plain spec.
-
-    resnet20-slim honors the width multiplier (1.0 reproduces the full
-    channel plan 16/32/64); the other two are fixed-size.
-    """
-    if name == "resnet20-slim":
-        return _build_resnet20(num_classes, width)
-    if name == "cnn-small":
-        return _build_cnn_small(num_classes)
-    if name == "alexnet-lite":
-        return _build_alexnet_lite(num_classes)
-    raise ValueError(f"unknown model {name!r}")
-
-
-def _conv(cin, cout, k, stride, padding, role) -> LayerSpec:
-    return LayerSpec(
-        op="conv",
-        role=role,
-        in_channels=cin,
-        out_channels=cout,
-        kernel_size=k,
-        stride=stride,
-        padding=padding,
-    )
-
-
-def _build_resnet20(num_classes: int, width: float) -> ModelSpec:
-    c1, c2, c3 = _ch(16, width), _ch(32, width), _ch(64, width)
-    layers: list[LayerSpec] = [
-        _conv(3, c1, 3, 1, 1, "stem"),
-        LayerSpec(op="relu", role="stem"),
-    ]
-
-    def block(cin, cout, stride):
-        inner = (
-            _conv(cin, cout, 3, stride, 1, "body"),
-            _conv(cout, cout, 3, 1, 1, "body"),
-        )
-        return LayerSpec(op="block", role="body", stride=stride, inner=inner)
-
-    plan = [(c1, c1, 1)] * 3 + [(c1, c2, 2), (c2, c2, 1), (c2, c2, 1)] + [
-        (c2, c3, 2),
-        (c3, c3, 1),
-        (c3, c3, 1),
-    ]
-    for cin, cout, stride in plan:
-        layers.append(block(cin, cout, stride))
+    """Construct the net `name` of ``_NETS`` as an all-plain spec on
+    (3, 32, 32) inputs with an avg-pool + dense head. `width` scales every
+    channel count of every net (rounded, at least 1) and must be a finite
+    number > 0."""
+    if name not in _NETS:
+        raise ValueError(f"unknown model {name!r}")
+    if not (_conforms(width, float) and width > 0):
+        raise ValueError(f"width must be a finite number > 0, got {width!r}")
+    layers: list[LayerSpec] = []
+    c = 3
+    for i, (op, base, *geometry) in enumerate(_NETS[name]):
+        role = "body" if i else "stem"
+        out = max(1, round(base * width))
+        # conv descriptors take their fields in _CONV_FIELDS order
+        if op == "conv":
+            layers += [LayerSpec("conv", role, c, out, *geometry), LayerSpec("relu", role)]
+        else:
+            (stride,) = geometry
+            c1 = LayerSpec("conv", role, c, out, 3, stride, 1)
+            c2 = LayerSpec("conv", role, out, out, 3, 1, 1)
+            layers.append(LayerSpec("block", role, stride=stride, inner=(c1, c2)))
+        c = out
     layers += [
-        LayerSpec(op="pool", role="head", pool_mode="avg"),
-        LayerSpec(op="dense", role="head", in_features=c3, out_features=num_classes),
+        LayerSpec("pool", "head", pool_mode="avg"),
+        LayerSpec("dense", "head", in_features=c, out_features=num_classes),
     ]
-    return ModelSpec("resnet20-slim", num_classes, (3, 32, 32), tuple(layers))
-
-
-def _build_cnn_small(num_classes: int) -> ModelSpec:
-    layers = (
-        _conv(3, 16, 3, 1, 1, "stem"),
-        LayerSpec(op="relu", role="stem"),
-        _conv(16, 32, 3, 2, 1, "body"),
-        LayerSpec(op="relu", role="body"),
-        _conv(32, 32, 3, 1, 1, "body"),
-        LayerSpec(op="relu", role="body"),
-        _conv(32, 64, 3, 2, 1, "body"),
-        LayerSpec(op="relu", role="body"),
-        LayerSpec(op="pool", role="head", pool_mode="avg"),
-        LayerSpec(op="dense", role="head", in_features=64, out_features=num_classes),
-    )
-    return ModelSpec("cnn-small", num_classes, (3, 32, 32), layers)
-
-
-def _build_alexnet_lite(num_classes: int) -> ModelSpec:
-    # two oversized kernels to exercise masking on wide grids
-    layers = (
-        _conv(3, 16, 11, 2, 5, "stem"),
-        LayerSpec(op="relu", role="stem"),
-        _conv(16, 32, 5, 2, 2, "body"),
-        LayerSpec(op="relu", role="body"),
-        LayerSpec(op="pool", role="head", pool_mode="avg"),
-        LayerSpec(op="dense", role="head", in_features=32, out_features=num_classes),
-    )
-    return ModelSpec("alexnet-lite", num_classes, (3, 32, 32), layers)
+    return ModelSpec(name, num_classes, (3, 32, 32), tuple(layers))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,19 @@ class TestCircular:
         with pytest.raises(ValueError):
             masks.circular_values(1.0, -3)
 
+    def test_kernel_size_must_be_an_integer(self):
+        """A fractional size is no kernel size, not a 3x3 mask; numpy
+        integer sizes build the same mask as Python ints."""
+        for bad in (3.9, 3.0, "3"):
+            with pytest.raises(ValueError, match="kernel_size"):
+                masks.circular_values(1.0, bad)
+            with pytest.raises(ValueError, match="kernel_size"):
+                masks.elliptic_values_batch(np.ones(2), np.ones(2), bad)
+        for k in (np.int64(3), np.int32(5), np.uint8(4)):
+            np.testing.assert_array_equal(
+                masks.circular_values(1.5, k), masks.circular_values(1.5, int(k))
+            )
+
 
 class TestCircularGrad:
     def test_matches_central_difference(self):

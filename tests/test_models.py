@@ -66,6 +66,22 @@ class TestBuilders:
         assert dense_layers[0].in_features == 32
         assert count_params(spec) < count_params(build_model("resnet20-slim", 10))
 
+    @pytest.mark.parametrize("name, features", [("cnn-small", 32), ("alexnet-lite", 16)])
+    def test_width_scales_the_fixed_nets(self, name, features):
+        """`width` scales every net, not only resnet20-slim: at 0.5 the
+        last conv, and so the dense head, has half its width-1.0 channels."""
+        spec = build_model(name, 10, width=0.5)
+        assert spec.layers[-1].in_features == features
+        assert count_params(spec) < count_params(build_model(name, 10, width=1.0))
+
+    @pytest.mark.parametrize("width", [0.0, -3.0, float("nan"), float("inf"), True, "0.5", None])
+    @pytest.mark.parametrize("name", ["resnet20-slim", "cnn-small"])
+    def test_bad_width_rejected(self, name, width):
+        """A width that is not a finite number > 0 is an error, not a net
+        of 1-channel layers."""
+        with pytest.raises(ValueError, match="width"):
+            build_model(name, 10, width)
+
     def test_cnn_small_output_shape(self):
         model = Model(build_model("cnn-small", 10), np.random.default_rng(0))
         out = model.forward(Tensor(np.random.default_rng(1).normal(size=(1, 3, 32, 32))))
