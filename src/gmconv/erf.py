@@ -11,18 +11,29 @@ radius.
 Probe inputs are unit-Gaussian noise drawn from the caller's generator, or
 a supplied stack of dataset images. Absolute values are accumulated (not signed
 gradients) so maps stay comparable across nets with ReLUs.
+
+Probes run in batches: one taped forward and backward per batch, seeded at
+the central unit of every sample. No op mixes the samples of a batch (there
+are no batch statistics, and conv and dense rows do not depend on their
+batch-mates), so each probe's input adjoint is bit for bit the one it gets
+alone. The noise of a batch is one draw of the same generator stream, and
+each probe's map is added in probe order, so the map does not depend on
+the batch size. That size is derived from the spec: as many probes as keep
+the widest conv output and its adjoint within the conv's cache block.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import masks
+from . import masks, tensor
 from .layers import StaticGMConvLayer
+from .models import _walk_spec
 from .tensor import GradTape, Tensor
 
 
@@ -37,6 +48,24 @@ class ErfMap:
     num_samples: int
 
 
+def _probe_batch(spec) -> int:
+    """Probes per batch: as many samples as keep the widest per-sample conv
+    output of `spec` and its adjoint within `tensor._BLOCK_BYTES`, and at
+    least one."""
+    widest = max(layer.out_channels * positions for layer, positions in _walk_spec(spec))
+    return max(1, tensor._BLOCK_BYTES // (2 * 8 * max(widest, 1)))
+
+
+def _count(name: str, value) -> int:
+    """`value` as an int; a float, a bool or a string raises ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)  # not int(): 2.5 is no index
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def estimate_erf(
     model,
     layer_index: int,
@@ -47,11 +76,17 @@ def estimate_erf(
     """Measure the ERF of the central unit of one module's output.
 
     `layer_index` indexes `model.modules`; the probed module must produce
-    a spatial (4D) output. Pass exactly one probe source: `rng`, which
-    draws fresh unit-Gaussian noise per probe, or `images`, an
-    S x C x H x W stack cycled through for the probes. A map that is not
-    finite (a model whose outputs overflow) raises FloatingPointError.
+    a spatial (4D) output. Both it and `num_samples` must be integers (a
+    float or a bool raises ValueError). Pass exactly one probe source:
+    `rng`, which draws fresh unit-Gaussian noise for every probe, or
+    `images`, an S x C x H x W stack cycled through for the probes. The
+    probes run in batches, one taped forward and backward per batch; the
+    map is the same, bit for bit, as from one probe at a time. A map that
+    is not finite (a model whose outputs overflow) raises
+    FloatingPointError.
     """
+    layer_index = _count("layer index", layer_index)
+    num_samples = _count("num_samples", num_samples)
     if not 0 <= layer_index < len(model.modules):
         raise ValueError(f"layer index {layer_index} out of range")
     if num_samples < 1:
@@ -66,13 +101,16 @@ def estimate_erf(
             f"got shape {np.shape(images)}"
         )
 
+    batch = _probe_batch(model.spec)
     acc = np.zeros((h, w))
     unit = (0, 0)
-    for s in range(num_samples):
+    for s in range(0, num_samples, batch):
+        b = min(batch, num_samples - s)
         if images is not None:
-            x = Tensor(np.asarray(images[s % len(images)], dtype=np.float64)[None])
+            x = Tensor(np.take(images, [(s + i) % len(images) for i in range(b)], axis=0))
         else:
-            x = Tensor(rng.normal(size=(1, c, h, w)))
+            # the same stream, in the same order, as b draws of one probe
+            x = Tensor(rng.normal(size=(b, c, h, w)))
         # only the input's adjoint is read: no weight or width adjoint is built
         tape = GradTape(wrt=(x,))
         out = x
@@ -84,10 +122,12 @@ def estimate_erf(
             )
         cy, cx = out.data.shape[2] // 2, out.data.shape[3] // 2
         unit = (cy, cx)
+        # no op mixes samples, so each probe's input adjoint is its own
         seed = np.zeros_like(out.data)
-        seed[0, :, cy, cx] = 1.0
+        seed[:, :, cy, cx] = 1.0
         tape.backward(out, seed)
-        acc += np.abs(x.grad[0]).sum(axis=0)
+        for grad in x.grad:  # in probe order, as one probe at a time would
+            acc += np.abs(grad).sum(axis=0)
 
     mean = acc / num_samples
     if not np.all(np.isfinite(mean)):

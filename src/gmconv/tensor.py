@@ -461,7 +461,12 @@ def global_pool(x: Tensor, mode: str, tape: GradTape | None = None) -> Tensor:
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None = None, tape: GradTape | None = None) -> Tensor:
-    """Affine map per row: out[n] = w @ x[n] + b, shapes N x F -> N x G."""
+    """Affine map per row: out[n] = w @ x[n] + b, shapes N x F -> N x G.
+
+    The forward and dX run as N stacked one-row products, so row n of
+    either does not depend on its batch-mates: a batch gives each row the
+    same bits as a batch of one (a single N x F GEMM rounds a row one way
+    at N = 1 and another at N > 1). dW stays one GEMM."""
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ValueError(
             f"dense expects 2D input and weight, got {x.data.shape} and {w.data.shape}"
@@ -472,7 +477,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None, tape: GradTape | None =
         )
     if b is not None and b.data.shape != (w.data.shape[0],):
         raise ValueError(f"bias shape {b.data.shape} does not match {w.data.shape[0]} outputs")
-    y = x.data @ w.data.T
+    y = np.matmul(x.data[:, None, :], w.data.T)[:, 0]
     if b is not None:
         y = y + b.data
     out = Tensor(y)
@@ -480,7 +485,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None, tape: GradTape | None =
     if tape is not None:
 
         def backward(g: np.ndarray):
-            return g @ w.data, g.T @ x.data, None if b is None else g.sum(axis=0)
+            dx = np.matmul(g[:, None, :], w.data)[:, 0]
+            return dx, g.T @ x.data, None if b is None else g.sum(axis=0)
 
         tape.record(out, (x, w, b), backward)
     return out

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gmconv import erf as erf_module
-from gmconv import masks
+from gmconv import masks, tensor
 from gmconv.erf import ErfMap, dump_layer_masks, erf_radius, estimate_erf
 from gmconv.layers import _per_sample_masked_weights
 from gmconv.models import ConvPolicy, LayerSpec, Model, ModelSpec, apply_policy, build_model
@@ -139,6 +139,21 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_erf(model, 99, 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "layer, n",
+        [(2.0, 3), (2, 2.5), (2, 3.0), (True, 3), (2, True), (2, False), ("2", 3), (None, 3)],
+    )
+    def test_index_and_count_must_be_integers(self, layer, n):
+        model = Model(build_model("cnn-small", 10), np.random.default_rng(9))
+        with pytest.raises(ValueError, match="must be an integer"):
+            estimate_erf(model, layer, n, np.random.default_rng(0))
+
+    def test_numpy_integers_accepted(self):
+        model = all_ones_model(2)
+        erf = estimate_erf(model, np.int64(1), np.int32(2), np.random.default_rng(0))
+        assert type(erf.layer_index) is int and type(erf.num_samples) is int
+        assert (erf.layer_index, erf.num_samples) == (1, 2)
+
     def test_non_finite_map_raises(self):
         """Weights near 1e300 overflow every forward; their NaN map must not
         be normalized and returned as if it were valid."""
@@ -209,6 +224,107 @@ class TestPrunedProbe:
         monkeypatch.setattr(erf_module, "GradTape", SpyTape)
         estimate_erf(self.masked_model(), 6, 2, np.random.default_rng(23))
         assert kept and not any(q.startswith("_mask_scale") for q in kept)
+
+
+def batch_one_probe_map(model, layer, num_samples, rng=None, images=None):
+    """The normalized map of `num_samples` probes run one at a time, each
+    on its own unpruned tape."""
+    acc = np.zeros(model.spec.input_shape[1:])
+    for s in range(num_samples):
+        if images is None:
+            x = Tensor(rng.normal(size=(1, *model.spec.input_shape)))
+        else:
+            x = Tensor(images[s % len(images)][None])
+        tape = GradTape()
+        out = x
+        for mod in model.modules[: layer + 1]:
+            out = mod.forward(out, tape)
+        seed = np.zeros_like(out.data)
+        seed[0, :, out.data.shape[2] // 2, out.data.shape[3] // 2] = 1.0
+        tape.backward(out, seed)
+        acc += np.abs(x.grad[0]).sum(axis=0)
+    mean = acc / num_samples
+    return mean / mean.max()
+
+
+POLICIES = {
+    "static": ConvPolicy("static", "static"),
+    "dynamic-stem": ConvPolicy("dynamic", "static"),
+    "all-dynamic": ConvPolicy("dynamic", "dynamic"),
+}
+
+
+class TestBatchedProbe:
+    """estimate_erf runs one taped forward and backward per batch of probes,
+    and every map is bit for bit the map of one probe at a time."""
+
+    @staticmethod
+    def model(policy):
+        return Model(apply_policy(build_model("cnn-small", 10), POLICIES[policy]),
+                     np.random.default_rng(31))
+
+    @staticmethod
+    def force_batch(monkeypatch, model, batch):
+        # cnn-small's widest conv output is its stem's, 16 x 32 x 32 floats
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", batch * 2 * 8 * 16 * 32 * 32)
+        assert erf_module._probe_batch(model.spec) == batch
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_map_matches_a_batch_one_loop(self, monkeypatch, policy, batch):
+        model = self.model(policy)
+        self.force_batch(monkeypatch, model, batch)
+        n = 2 * batch + 1
+        got = estimate_erf(model, 6, n, np.random.default_rng(32))
+        want = batch_one_probe_map(model, 6, n, rng=np.random.default_rng(32))
+        np.testing.assert_array_equal(got.values, want)
+        assert got.num_samples == n and got.unit == (4, 4)
+
+    @pytest.mark.parametrize("policy", ["static", "all-dynamic"])
+    def test_images_cycle_across_batches(self, monkeypatch, policy):
+        """Three images over five probes in batches of two: the stack's
+        size divides neither the probe count nor the batch."""
+        model = self.model(policy)
+        self.force_batch(monkeypatch, model, 2)
+        imgs = np.random.default_rng(33).normal(size=(3, 3, 32, 32))
+        got = estimate_erf(model, 4, 5, images=imgs)
+        np.testing.assert_array_equal(got.values, batch_one_probe_map(model, 4, 5, images=imgs))
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 7])
+    def test_one_tape_per_batch(self, monkeypatch, n):
+        model = self.model("dynamic-stem")
+        self.force_batch(monkeypatch, model, 3)
+        sizes = []
+
+        class SpyTape(GradTape):
+            def __init__(self, wrt=None):
+                sizes.append(len(wrt[0].data))
+                super().__init__(wrt)
+
+        monkeypatch.setattr(erf_module, "GradTape", SpyTape)
+        estimate_erf(model, 2, n, np.random.default_rng(34))
+        assert len(sizes) == math.ceil(n / 3)
+        assert sizes == [3] * (n // 3) + [n % 3] * (n % 3 > 0)
+
+    def test_batch_is_bounded_by_bytes(self, monkeypatch):
+        """The widest output of resnet20-slim at width 0.5 (8 x 32 x 32) and
+        its adjoint take 128 KiB a probe."""
+        spec = build_model("resnet20-slim", 10, 0.5)
+        assert erf_module._probe_batch(spec) == tensor._BLOCK_BYTES // (128 << 10)
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", 3 * (128 << 10) - 1)
+        assert erf_module._probe_batch(spec) == 2
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", 1)
+        assert erf_module._probe_batch(spec) == 1
+
+    @pytest.mark.parametrize("policy", ["static", "all-dynamic"])
+    def test_dense_rows_do_not_depend_on_the_batch(self, policy):
+        """The logits of a batch of five are the five batch-1 logits, bit
+        for bit, through the head and the width predictors' dense layers."""
+        model = self.model(policy)
+        x = np.random.default_rng(35).normal(size=(5, 3, 32, 32))
+        batched = model.forward(Tensor(x)).data
+        for i in range(5):
+            np.testing.assert_array_equal(model.forward(Tensor(x[i : i + 1])).data[0], batched[i])
 
 
 class TestMaskedVsPlainErf:

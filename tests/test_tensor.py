@@ -416,6 +416,23 @@ class TestDense:
         with pytest.raises(ValueError):
             dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
+    @pytest.mark.parametrize("f, g", [(1, 1), (7, 3), (16, 10), (33, 65), (128, 100)])
+    def test_rows_do_not_depend_on_the_batch(self, f, g):
+        """Each row's output and dX are a batch-of-one call's, bit for bit."""
+        rng = np.random.default_rng(f * g)
+        x = Tensor(rng.normal(size=(9, f)))
+        w, b = Tensor(rng.normal(size=(g, f))), Tensor(rng.normal(size=g))
+        r = rng.normal(size=(9, g))
+        tape = GradTape()
+        tape.backward(dense(x, w, b, tape), r)
+        for i in range(9):
+            row = Tensor(x.data[i : i + 1])
+            tape = GradTape()
+            out = dense(row, w, b, tape)
+            tape.backward(out, r[i : i + 1])
+            np.testing.assert_array_equal(out.data[0], dense(x, w, b).data[i])
+            np.testing.assert_array_equal(row.grad[0], x.grad[i])
+
 
 class TestActivations:
     def test_relu_values(self):
