@@ -129,6 +129,8 @@ def cmd_fold(args) -> int:
 
 
 def cmd_erf(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     ckpt = load_checkpoint(args.ckpt)
     model = restore_model(ckpt)
     erf = estimate_erf(model, args.layer, args.samples, rng=np.random.default_rng(args.seed))

@@ -54,6 +54,8 @@ class DatasetSource:
             raise ValueError(f"split must be train or test, got {self.split!r}")
         if self.num_samples < 0:
             raise ValueError("num_samples must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def load_dataset(src: DatasetSource) -> tuple[np.ndarray, np.ndarray]:

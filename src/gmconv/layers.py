@@ -8,10 +8,11 @@ the analytic mask derivative.
 A dynamic layer predicts per-sample widths (sigma1, sigma2) from a pooled
 descriptor of its own input through a small two-layer bottleneck and
 convolves each sample with the kernel under its own elliptic mask. Either
-masked layer is two tape ops, masked weight then convolution; the masking
-op reads the mask, and its width slopes when the tape needs a width
-adjoint, from the public views in ``masks``, and its one backward returns
-the weight and width adjoints.
+masked layer is two tape ops: a mask op (the static masked weight, or the
+N x K x K dynamic masks that ``conv2d_per_sample`` applies as tap scales of
+the shared kernel), then the convolution. A mask op calls one public view in
+``masks``: the slope view, which returns the mask too, if the tape needs a
+width adjoint.
 
 After training, a static layer's mask can be folded into the weights,
 yielding a plain convolution with identical outputs and zero mask cost.
@@ -98,11 +99,11 @@ def _mask_scale(weight: Tensor, sigma: Tensor, tape: GradTape | None) -> Tensor:
         raise ValueError(f"sigma must be a scalar tensor, got shape {sigma.data.shape}")
     k = weight.data.shape[2]
     raw = float(sigma.data)
-    m = masks.circular_values(raw, k)
+    need = tape is not None and tape.needs(sigma)
+    m, dm = masks.circular_grad_values(raw, k) if need else (masks.circular_values(raw, k), None)
     out = Tensor(weight.data * m)
 
     if tape is not None:
-        dm = masks.circular_grad_values(raw, k) if tape.needs(sigma) else None
         wd = weight.data
 
         def backward(g: np.ndarray):
@@ -113,27 +114,19 @@ def _mask_scale(weight: Tensor, sigma: Tensor, tape: GradTape | None) -> Tensor:
 
 
 def _per_sample_masked_weights(
-    weight: Tensor, s1: Tensor, s2: Tensor, tape: GradTape | None
+    s1: Tensor, s2: Tensor, kernel_size: int, tape: GradTape | None
 ) -> Tensor:
-    """Tape op: W'(n) = W * M_n, giving N x O x C x K x K, where M_n is the
-    elliptic mask of widths (s1[n], s2[n]) for two N-vectors."""
-    k = weight.data.shape[2]
-    m = masks.elliptic_values_batch(s1.data, s2.data, k)
-    out = Tensor(weight.data[None] * m[:, None, None])
+    """Tape op: the N x K x K elliptic masks of widths (s1[n], s2[n]) for
+    two N-vectors; its backward maps the masks' adjoint to the widths'."""
+    if tape is None or not (tape.needs(s1) or tape.needs(s2)):
+        return Tensor(masks.elliptic_values_batch(s1.data, s2.data, kernel_size))
+    m, g1, g2 = masks.elliptic_grad_batch(s1.data, s2.data, kernel_size)
+    out = Tensor(m)
 
-    if tape is not None:
-        need_w, need_s = tape.needs(weight), tape.needs(s1) or tape.needs(s2)
-        g1, g2 = masks.elliptic_grad_batch(s1.data, s2.data, k) if need_s else (None, None)
-        wd = weight.data
+    def backward(dm: np.ndarray):
+        return np.sum(dm * g1, axis=(1, 2)), np.sum(dm * g2, axis=(1, 2))
 
-        def backward(g: np.ndarray):
-            dw = np.einsum("nockl,nkl->ockl", g, m) if need_w else None
-            if not need_s:
-                return dw, None, None
-            dm = np.einsum("nockl,ockl->nkl", g, wd)
-            return dw, np.sum(dm * g1, axis=(1, 2)), np.sum(dm * g2, axis=(1, 2))
-
-        tape.record(out, (weight, s1, s2), backward)
+    tape.record(out, (s1, s2), backward)
     return out
 
 
@@ -294,8 +287,8 @@ class DynamicGMConvLayer(_ConvLayer):
 
     def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
         s1, s2 = self.sigma_module.predict(x, tape)
-        wb = _per_sample_masked_weights(self.weight, s1, s2, tape)
-        return conv2d_per_sample(x, wb, self.bias, self.stride, self.padding, tape)
+        m = _per_sample_masked_weights(s1, s2, self.kernel_size, tape)
+        return conv2d_per_sample(x, self.weight, m, self.bias, self.stride, self.padding, tape)
 
     def param_items(self):
         module = [(f"sigma_module.{n}", t) for n, t in self.sigma_module.param_items()]

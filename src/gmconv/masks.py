@@ -133,11 +133,11 @@ def circular_values(sigma: float, kernel_size: int) -> np.ndarray:
     return _gaussian(s, s, kernel_size)[0]
 
 
-def circular_grad_values(sigma: float, kernel_size: int) -> np.ndarray:
-    """d(mask)/d(sigma) for the circular mask, shape (K, K)."""
+def circular_grad_values(sigma: float, kernel_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, d(mask)/d(sigma)) for the circular mask, each shape (K, K)."""
     s = _one(sigma)
-    _, g1, g2 = _gaussian(s, s, kernel_size, grad=True)
-    return g1[0] + g2[0]
+    m, g1, g2 = _gaussian(s, s, kernel_size, grad=True)
+    return m[0], g1[0] + g2[0]
 
 
 def elliptic_values(sigma1: float, sigma2: float, kernel_size: int) -> np.ndarray:
@@ -148,10 +148,10 @@ def elliptic_values(sigma1: float, sigma2: float, kernel_size: int) -> np.ndarra
 
 def elliptic_grad_values(
     sigma1: float, sigma2: float, kernel_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(d(mask)/d(sigma1), d(mask)/d(sigma2)) for the elliptic mask."""
-    _, g1, g2 = _gaussian(_one(sigma1), _one(sigma2), kernel_size, grad=True)
-    return g1[0], g2[0]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mask, d(mask)/d(sigma1), d(mask)/d(sigma2)) for the elliptic mask."""
+    m, g1, g2 = _gaussian(_one(sigma1), _one(sigma2), kernel_size, grad=True)
+    return m[0], g1[0], g2[0]
 
 
 def elliptic_values_batch(
@@ -163,10 +163,9 @@ def elliptic_values_batch(
 
 def elliptic_grad_batch(
     sigma1: np.ndarray, sigma2: np.ndarray, kernel_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (dM/dsigma1, dM/dsigma2), each shape (N, K, K)."""
-    _, g1, g2 = _gaussian(sigma1, sigma2, kernel_size, grad=True)
-    return g1, g2
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample (M, dM/dsigma1, dM/dsigma2), each shape (N, K, K)."""
+    return _gaussian(sigma1, sigma2, kernel_size, grad=True)
 
 
 def circular_mask(sigma: float, kernel_size: int) -> GaussianMask:

@@ -27,10 +27,11 @@ samples as keep the output accumulator and the phase grids within
 ``_BLOCK_BYTES`` (about an L2 cache), so all K*K taps reuse data that is
 already in cache, and nothing full-batch is built but the input, the
 output adjoint and the results. Every value is summed in the same order
-whatever the chunks; the shared-kernel dW carries its running sum over the
-batch from chunk to chunk. ``conv2d`` and ``conv2d_per_sample`` share
-this core. The direct-loop references are kept as internal oracles; the
-two paths must agree to near machine precision.
+whatever the chunks; dW carries its running sum over the batch from chunk
+to chunk. ``conv2d`` and ``conv2d_per_sample`` share this core and one
+O x C x K x K weight layout: the per-sample conv scales sample n's tap t
+by its mask value, W_t * M[n, t], a chunk at a time. The direct-loop
+references are internal oracles; the paths agree to near machine precision.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ class GradTape:
 
     Each record is (out, inputs, backward_fn). backward_fn receives the
     adjoint of `out` and returns one adjoint (or None) per input, in
-    order; it must not write into the adjoint it receives. An absent bias
-    is recorded as a None input and gets no adjoint. `backward` pops the
-    records newest-first, so it leaves the tape empty.
+    order; it must not write into the adjoint it receives. An absent input
+    (a bias, a plain conv's mask) is None and gets no adjoint. `backward`
+    pops the records newest-first, so it leaves the tape empty.
 
     `wrt` lists the leaf tensors whose adjoints the caller will read; None
     (the default) means every input. Activity is fixed while recording: a
@@ -223,25 +224,25 @@ def _to_grids(x: np.ndarray, grids: np.ndarray, phases) -> None:
 
 
 def _weight_taps(wd: np.ndarray) -> np.ndarray:
-    """K x K x O x C (or K x K x m x O x C per sample) tap matrices of wd."""
+    """K x K x O x C tap matrices of an O x C x K x K weight."""
     return np.moveaxis(wd, (-2, -1), (0, 1)).copy()
 
 
-def _conv_forward(xd, wd, bdat, stride: int, padding: int, ho: int, wo: int) -> np.ndarray:
+def _conv_forward(xd, wd, md, bdat, stride: int, padding: int, ho: int, wo: int) -> np.ndarray:
     """Sum of `W_t @ slice_t` over taps, one batch chunk at a time; W_t is
-    O x C, or m x O x C per sample."""
-    (n, c), o, k, s = xd.shape[:2], wd.shape[-4], wd.shape[-1], stride
+    O x C, or m x O x C under an N x K x K mask md: W_t * md[n, t]."""
+    (n, c), (o, _, k, _), s = xd.shape[:2], wd.shape, stride
     hg, wg, taps, phases, chunk = _conv_plan(xd.shape, o, k, s, padding, ho, wo)
     span = ho * wg
     grids = np.zeros((s * s, chunk, c, hg, wg))
     acc, prod = np.empty((2, chunk, o, span))
     out = np.empty((n, o, ho, wo))
-    wt = None if wd.ndim == 5 else _weight_taps(wd)
+    wt, mt = _weight_taps(wd), None if md is None else np.moveaxis(md, 0, -1)
     for a in range(0, n, chunk):
         m = min(chunk, n - a)
         _to_grids(xd[a : a + m], grids[:, :m], phases)
         flat = grids[:, :m].reshape(s * s, m, c, hg * wg)
-        w_taps = _weight_taps(wd[a : a + m]) if wt is None else wt
+        w_taps = wt if mt is None else wt[:, :, None] * mt[:, :, a : a + m, None, None]
         acc[:m] = 0
         for i, j, ph, off in taps:
             np.matmul(w_taps[i, j], flat[ph, :, :, off : off + span], out=prod[:m])
@@ -254,52 +255,54 @@ def _conv_forward(xd, wd, bdat, stride: int, padding: int, ho: int, wo: int) -> 
     return out
 
 
-def _conv_grads(g: np.ndarray, xd, wd, stride: int, padding: int,
-                need_x: bool, need_w: bool, need_b: bool):
-    """(dx, dw, db) of `_conv_forward` for the output adjoint g, one batch
-    chunk at a time. An adjoint that is not needed (db always, without a
-    bias) is not computed and comes back as None. The grids that dw reads
-    are rebuilt, not kept alive by the closure. A shared dw adds the
-    per-sample tap products in sample order, whatever the chunks: slot 0 of
-    its buffer carries the running sum from chunk to chunk."""
+def _conv_grads(g: np.ndarray, xd, wd, md, stride: int, padding: int,
+                need_x: bool, need_w: bool, need_m: bool, need_b: bool):
+    """(dx, dw, dm, db) of `_conv_forward` for the output adjoint g, one
+    batch chunk at a time. An adjoint that is not needed (dm or db always,
+    without a mask or a bias) is not computed and comes back as None. The
+    grids are rebuilt, not kept alive by the closure. From each tap product
+    P = g_n @ slice_t^T, dm[n, t] = <P, W_t>, and dw adds P * md[n, t] in
+    sample order whatever the chunks, carried in slot 0 of their buffer."""
     db = g.sum(axis=(0, 2, 3)) if need_b else None
-    dx = dw = None
-    if not (need_x or need_w):
-        return dx, dw, db
+    dx = dw = dm = None
+    if not (need_x or need_w or need_m):
+        return dx, dw, dm, db
     (n, o, ho, wo), c, s, k = g.shape, xd.shape[1], stride, wd.shape[-1]
     hg, wg, taps, phases, chunk = _conv_plan(xd.shape, o, k, s, padding, ho, wo)
-    span, shared = ho * wg, wd.ndim == 4
+    span = ho * wg
     gpad = np.zeros((chunk, o, ho, wg))
-    if need_w:
+    if need_w or need_m:
         grids = np.zeros((s * s, chunk, c, hg, wg))
-        dw = np.empty((chunk + 1, k, k, o, c)) if shared else np.empty(wd.shape)
-        dw_taps = dw if shared else np.empty((chunk, k, k, o, c))
+        prods = np.empty((chunk + 1, k, k, o, c))
+        dm = np.empty((n, k, k)) if need_m else None
     if need_x:
         dx = np.empty(xd.shape)
         dgrids = np.empty((s * s, chunk, c, hg * wg))
         # tap products at the grid's row pitch; the zero tail of each row
         # lets a tap's add run over one contiguous range
         prod = np.zeros((chunk, c, hg * wg))
-        wt = _weight_taps(wd) if shared else None
+        wt, mt = _weight_taps(wd), None if md is None else np.moveaxis(md, 0, -1)
     for a in range(0, n, chunk):
         m = min(chunk, n - a)
         gpad[:m, :, :, :wo] = g[a : a + m]
         gg = gpad[:m].reshape(m, o, span)
-        if need_w:
+        if need_w or need_m:
             _to_grids(xd[a : a + m], grids[:, :m], phases)
             flat = grids[:, :m].reshape(s * s, m, c, hg * wg)
-            # a shared dw's first product starts the carry in slot 0
-            lo = 1 if shared and a else 0
+            # the batch's first product starts the carry in slot 0
+            lo = 1 if a else 0
             for i, j, ph, off in taps:
                 np.matmul(gg, flat[ph, :, :, off : off + span].swapaxes(-1, -2),
-                          out=dw_taps[lo : lo + m, i, j])
-            if shared:
+                          out=prods[lo : lo + m, i, j])
+            if need_m:
+                dm[a : a + m] = np.einsum("nkloc,ockl->nkl", prods[lo : lo + m], wd)
+            if need_w:
+                if md is not None:
+                    prods[lo : lo + m] *= md[a : a + m, :, :, None, None]
                 for r in range(1, lo + m):
-                    dw[0] += dw[r]
-            else:
-                dw[a : a + m] = np.moveaxis(dw_taps[:m], (1, 2), (-2, -1))
+                    prods[0] += prods[r]
         if need_x:
-            w_taps = _weight_taps(wd[a : a + m]) if wt is None else wt
+            w_taps = wt if mt is None else wt[:, :, None] * mt[:, :, a : a + m, None, None]
             dg = dgrids[:, :m].reshape(s * s, -1)
             dg[...] = 0
             lines = (m * c - 1) * hg * wg + span
@@ -311,9 +314,9 @@ def _conv_grads(g: np.ndarray, xd, wd, stride: int, padding: int,
             dg = dg.reshape(s * s, m, c, hg, wg)
             for ph, src, dst in phases:
                 dx[a : a + m][src] = dg[ph][dst]
-    if need_w and shared:
-        dw = np.moveaxis(dw[0], (0, 1), (-2, -1)).copy()
-    return dx, dw, db
+    if need_w:
+        dw = np.moveaxis(prods[0], (0, 1), (-2, -1)).copy()
+    return dx, dw, dm, db
 
 
 def conv2d(
@@ -332,16 +335,16 @@ def conv2d(
     """
     bdat = None if b is None else b.data
     *_, ho, wo = _conv_checks(x.data, w.data, bdat, stride, padding)
-    out = Tensor(_conv_forward(x.data, w.data, bdat, stride, padding, ho, wo))
+    out = Tensor(_conv_forward(x.data, w.data, None, bdat, stride, padding, ho, wo))
 
     if tape is not None:
         xd, wd = x.data, w.data
-        need = tape.needs(x), tape.needs(w), tape.needs(b)
+        need = tape.needs(x), tape.needs(w), False, tape.needs(b)
 
         def backward(g: np.ndarray):
-            return _conv_grads(g, xd, wd, stride, padding, *need)
+            return _conv_grads(g, xd, wd, None, stride, padding, *need)
 
-        tape.record(out, (x, w, b), backward)
+        tape.record(out, (x, w, None, b), backward)
     return out
 
 
@@ -373,36 +376,34 @@ def conv2d_reference(
 
 def conv2d_per_sample(
     x: Tensor,
-    wb: Tensor,
+    w: Tensor,
+    m: Tensor,
     b: Tensor | None = None,
     stride: int = 1,
     padding: int = 0,
     tape: GradTape | None = None,
 ) -> Tensor:
-    """Convolution where every batch element has its own weight tensor.
+    """Convolution where every batch element scales the shared kernel's taps.
 
-    `wb` has shape N x O x C x K x K; sample n is convolved with wb[n].
-    This is the primitive behind dynamic masking, where each input
-    produces its own mask and therefore its own effective kernel.
+    `w` is O x C x K x K and `m` is N x K x K; sample n is convolved with
+    w * m[n]. This is the primitive behind dynamic masking, where each
+    input produces its own mask and therefore its own effective kernel.
     """
-    if wb.data.ndim != 5:
-        raise ValueError(f"per-sample weights must be N x O x C x K x K, got {wb.data.shape}")
-    if wb.data.shape[0] != x.data.shape[0]:
-        raise ValueError(
-            f"weight batch {wb.data.shape[0]} does not match input batch {x.data.shape[0]}"
-        )
     bdat = None if b is None else b.data
-    *_, ho, wo = _conv_checks(x.data, wb.data[0], bdat, stride, padding)
-    out = Tensor(_conv_forward(x.data, wb.data, bdat, stride, padding, ho, wo))
+    *_, ho, wo = _conv_checks(x.data, w.data, bdat, stride, padding)
+    mask_shape = (x.data.shape[0],) + w.data.shape[2:]
+    if m.data.shape != mask_shape:
+        raise ValueError(f"per-sample masks must be N x K x K = {mask_shape}, got {m.data.shape}")
+    out = Tensor(_conv_forward(x.data, w.data, m.data, bdat, stride, padding, ho, wo))
 
     if tape is not None:
-        xd, wd = x.data, wb.data
-        need = tape.needs(x), tape.needs(wb), tape.needs(b)
+        xd, wd, md = x.data, w.data, m.data
+        need = tape.needs(x), tape.needs(w), tape.needs(m), tape.needs(b)
 
         def backward(g: np.ndarray):
-            return _conv_grads(g, xd, wd, stride, padding, *need)
+            return _conv_grads(g, xd, wd, md, stride, padding, *need)
 
-        tape.record(out, (x, wb, b), backward)
+        tape.record(out, (x, w, m, b), backward)
     return out
 
 

@@ -98,6 +98,8 @@ class TrainConfig:
             raise ConfigError("width must be > 0")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.train_subset < 0 or self.test_subset < 0:
             raise ConfigError("subset sizes must be >= 0")
         if self.dataset == "synthetic" and (self.train_subset < 1 or self.test_subset < 1):

@@ -234,6 +234,7 @@ class TestTrainCommand:
             ("weight_decay", math.nan),
             ("lr_decay", math.nan),
             ("width", math.nan),
+            ("seed", -1),
         ],
     )
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value):
@@ -247,7 +248,15 @@ class TestTrainCommand:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_to_json(TINY))
+        assert main(["train", "--config", str(cfg), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
 
 
 class TestEvalCommand:
@@ -305,6 +314,12 @@ class TestEvalCommand:
         ])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_seed_exits_2(self, trained, capsys):
+        rc = main(["eval", "--ckpt", trained["ckpt"], "--dataset", "synthetic", "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
 
     def test_mean_without_std_exits_2(self, trained, capsys):
         rc = main([
@@ -381,6 +396,15 @@ class TestErfCommand:
         rc = main(["erf", "--ckpt", trained["ckpt"], "--layer", "99",
                    "--samples", "2", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_negative_seed_exits_2(self, trained, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["erf", "--ckpt", trained["ckpt"], "--layer", "2",
+                   "--samples", "2", "--out", str(out), "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert not out.exists()
 
     def test_file_as_out_dir_exits_3(self, trained, tmp_path, capsys):
         out = tmp_path / "file"

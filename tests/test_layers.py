@@ -1,11 +1,13 @@
 """Static and dynamic masked convolution layers, and mask folding."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from gmconv import masks
+from gmconv import masks, tensor
 from gmconv.layers import (
     Conv2dLayer,
     DynamicGMConvLayer,
@@ -357,6 +359,35 @@ class TestDynamicGradients:
         for name, t in layer.param_items():
             assert t.grad is not None, name
             assert np.all(np.isfinite(t.grad)), name
+
+    def test_builds_no_per_sample_weights(self):
+        """A taped forward and backward at N=64, C=O=16, 16x16, K=3 build
+        no N x O x C x K x K weight or weight adjoint: the forward peak net
+        of the output, and the backward peak net of the output adjoint,
+        stay below that tensor's bytes. The conv runs one sample per chunk,
+        so its own working set is a sample's worth, and the image needs no
+        adjoint, as in a training step."""
+        n, c, o, hw, k = 64, 16, 16, 16, 3
+        rng = np.random.default_rng(15)
+        layer = make_dynamic(rng, o=o, c=c, k=k)
+        x = Tensor(rng.normal(size=(n, c, hw, hw)))
+        seed = rng.normal(size=(n, o, hw, hw))
+        tape = GradTape(wrt=[t for _, t in layer.param_items()])
+        with mock.patch.object(tensor, "_BLOCK_BYTES", 1):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                y = layer.forward(x, tape)
+                forward_peak = tracemalloc.get_traced_memory()[1] - before - y.data.nbytes
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                tape.backward(y, seed)
+                backward_peak = tracemalloc.get_traced_memory()[1] - before - seed.nbytes
+            finally:
+                tracemalloc.stop()
+        weight_bytes = n * o * c * k * k * 8
+        assert forward_peak < weight_bytes
+        assert backward_peak < weight_bytes
 
 
 class TestFolding:

@@ -154,23 +154,23 @@ class TestCircularGrad:
         """Finite-difference oracle over odd and even grids."""
         for k in (1, 2, 3, 4, 5, 7):
             for sigma in (0.6, 1.0, 3.0, 8.0):
-                got = masks.circular_grad_values(sigma, k)
+                _, got = masks.circular_grad_values(sigma, k)
                 want = central_diff_scalar(
                     lambda s: masks.circular_values(s, k), sigma, h=1e-6
                 )
                 np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
     def test_hand_value_corner(self):
-        g = masks.circular_grad_values(1.0, 3)
+        _, g = masks.circular_grad_values(1.0, 3)
         np.testing.assert_allclose(g[0, 0], 2.0 * math.exp(-1.0), rtol=1e-15)
         assert g[1, 1] == 0.0
 
     def test_zero_when_clamp_active(self):
         np.testing.assert_array_equal(
-            masks.circular_grad_values(1e-4, 5), np.zeros((5, 5))
+            masks.circular_grad_values(1e-4, 5)[1], np.zeros((5, 5))
         )
         np.testing.assert_array_equal(
-            masks.circular_grad_values(2e6, 5), np.zeros((5, 5))
+            masks.circular_grad_values(2e6, 5)[1], np.zeros((5, 5))
         )
 
     def test_zero_at_clamp_boundary(self):
@@ -178,13 +178,13 @@ class TestCircularGrad:
         boundary itself, not just beyond it, so a width parked at a clamp
         stays parked. Just inside, the closed form applies."""
         np.testing.assert_array_equal(
-            masks.circular_grad_values(masks.SIGMA_MAX, 3), np.zeros((3, 3))
+            masks.circular_grad_values(masks.SIGMA_MAX, 3)[1], np.zeros((3, 3))
         )
         np.testing.assert_array_equal(
-            masks.circular_grad_values(masks.SIGMA_MIN, 3), np.zeros((3, 3))
+            masks.circular_grad_values(masks.SIGMA_MIN, 3)[1], np.zeros((3, 3))
         )
         inside = np.nextafter(masks.SIGMA_MAX, 0.0)
-        g = masks.circular_grad_values(inside, 3)
+        _, g = masks.circular_grad_values(inside, 3)
         x, y = masks.offset_grids(3)
         d2 = x * x + y * y
         want = masks.circular_values(inside, 3) * d2 / inside**3
@@ -192,8 +192,8 @@ class TestCircularGrad:
         assert np.any(g != 0.0)
 
     def test_odd_sign_in_sigma(self):
-        g_pos = masks.circular_grad_values(2.0, 5)
-        g_neg = masks.circular_grad_values(-2.0, 5)
+        _, g_pos = masks.circular_grad_values(2.0, 5)
+        _, g_neg = masks.circular_grad_values(-2.0, 5)
         np.testing.assert_array_equal(g_pos, -g_neg)
 
 
@@ -207,15 +207,19 @@ class TestElliptic:
 
     def test_reduces_to_circular_when_sigmas_equal(self):
         """Circular is the elliptic mask with equal widths, bit for bit,
-        and its slope is the sum of the two axis slopes."""
+        and its slope is the sum of the two axis slopes. The slope views
+        return the very mask the value views do."""
         rng = np.random.default_rng(6)
         for k in (1, 2, 3, 4, 5, 7, 11):
             for sigma in np.concatenate([[0.7, 1.0, 4.2], np.exp(rng.uniform(-8.0, 15.0, 30))]):
                 np.testing.assert_array_equal(
                     masks.circular_values(sigma, k), masks.elliptic_values(sigma, sigma, k)
                 )
-                g1, g2 = masks.elliptic_grad_values(sigma, sigma, k)
-                np.testing.assert_array_equal(masks.circular_grad_values(sigma, k), g1 + g2)
+                m, g1, g2 = masks.elliptic_grad_values(sigma, sigma, k)
+                mc, gc = masks.circular_grad_values(sigma, k)
+                np.testing.assert_array_equal(gc, g1 + g2)
+                np.testing.assert_array_equal(m, masks.elliptic_values(sigma, sigma, k))
+                np.testing.assert_array_equal(mc, masks.circular_values(sigma, k))
 
     def test_hand_values_axes(self):
         """sigma1 widens the horizontal axis, sigma2 the vertical one."""
@@ -233,7 +237,7 @@ class TestElliptic:
     def test_grad_matches_central_difference(self):
         for k in (2, 3, 5):
             for s1, s2 in ((1.0, 2.0), (3.0, 0.7)):
-                g1, g2 = masks.elliptic_grad_values(s1, s2, k)
+                _, g1, g2 = masks.elliptic_grad_values(s1, s2, k)
                 w1 = central_diff_scalar(
                     lambda s: masks.elliptic_values(s, s2, k), s1, h=1e-6
                 )
@@ -244,7 +248,7 @@ class TestElliptic:
                 np.testing.assert_allclose(g2, w2, rtol=1e-6, atol=1e-9)
 
     def test_grad_clamp_is_per_axis(self):
-        g1, g2 = masks.elliptic_grad_values(1e-7, 2.0, 3)
+        _, g1, g2 = masks.elliptic_grad_values(1e-7, 2.0, 3)
         np.testing.assert_array_equal(g1, np.zeros((3, 3)))
         assert np.any(g2 != 0.0)
 
@@ -268,9 +272,10 @@ class TestBatchVariants:
     def test_batch_grad_matches_scalar_loop(self):
         for k in (1, 2, 3, 4, 5, 7, 11):
             s1, s2 = self.random_widths(8 + k)
-            g1, g2 = masks.elliptic_grad_batch(s1, s2, k)
+            m, g1, g2 = masks.elliptic_grad_batch(s1, s2, k)
+            np.testing.assert_array_equal(m, masks.elliptic_values_batch(s1, s2, k))
             for n in range(len(s1)):
-                w1, w2 = masks.elliptic_grad_values(s1[n], s2[n], k)
+                _, w1, w2 = masks.elliptic_grad_values(s1[n], s2[n], k)
                 np.testing.assert_array_equal(g1[n], w1)
                 np.testing.assert_array_equal(g2[n], w2)
 

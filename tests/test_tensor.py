@@ -46,21 +46,23 @@ CONV_GEOMETRIES = [
 ]
 
 
-def conv_grads_match_fd(op, x, w, b, s, p, rng):
-    """Tape adjoints of every input of `op` against central differences."""
-    out_shape = op(x, w, b, stride=s, padding=p).data.shape
+def conv_grads_match_fd(op, args, s, p, rng):
+    """Tape adjoints of every tensor input of `op` against central
+    differences; `args` are its positional inputs, None for no bias."""
+    out_shape = op(*args, stride=s, padding=p).data.shape
     r = rng.normal(size=out_shape)
 
     def loss_value(_arr=None):
-        return float(np.sum(op(x, w, b, stride=s, padding=p).data * r))
+        return float(np.sum(op(*args, stride=s, padding=p).data * r))
 
     tape = GradTape()
-    out = op(x, w, b, stride=s, padding=p, tape=tape)
+    out = op(*args, stride=s, padding=p, tape=tape)
     loss = tsum(mul(out, Tensor(r), tape), tape)
     tape.backward(loss)
-    for t in (x, w) if b is None else (x, w, b):
-        want = num_grad(loss_value, t.data, h=1e-5)
-        np.testing.assert_allclose(t.grad, want, rtol=1e-4, atol=1e-6)
+    for t in args:
+        if t is not None:
+            want = num_grad(loss_value, t.data, h=1e-5)
+            np.testing.assert_allclose(t.grad, want, rtol=1e-4, atol=1e-6)
 
 
 class TestConvForward:
@@ -153,43 +155,50 @@ class TestConvGrad:
             x = Tensor(rng.normal(size=(n, c, h, wdt)))
             w = Tensor(rng.normal(size=(o, c, k, k)))
             for b in (Tensor(rng.normal(size=o)), None):
-                conv_grads_match_fd(conv2d, x, w, b, s, p, rng)
+                conv_grads_match_fd(conv2d, (x, w, b), s, p, rng)
 
     def test_per_sample_grads(self):
-        """The same check for per-sample kernels, over the oracle's geometries."""
+        """The same check for per-sample masked kernels, the mask's adjoint
+        included, over the oracle's geometries."""
         rng = np.random.default_rng(4)
         for n, c, h, wdt, o, k, s, p in CONV_GEOMETRIES:
             x = Tensor(rng.normal(size=(n, c, h, wdt)))
-            wb = Tensor(rng.normal(size=(n, o, c, k, k)))
+            w = Tensor(rng.normal(size=(o, c, k, k)))
+            m = Tensor(rng.uniform(0.2, 1.0, size=(n, k, k)))
             for b in (Tensor(rng.normal(size=o)), None):
-                conv_grads_match_fd(conv2d_per_sample, x, wb, b, s, p, rng)
+                conv_grads_match_fd(conv2d_per_sample, (x, w, m, b), s, p, rng)
 
 
 class TestPerSampleConv:
     def test_batched_equals_per_sample_loop(self):
-        """Internal oracle: grouped matmul path vs. the normative loop."""
+        """Internal oracle: tap-scaled shared kernel vs. the normative loop
+        over the per-sample kernels w * m[n]."""
         rng = np.random.default_rng(5)
         for n, c, h, wdt, o, k, s, p in CONV_GEOMETRIES:
             x = rng.normal(size=(n, c, h, wdt))
-            wb = rng.normal(size=(n, o, c, k, k))
+            w = rng.normal(size=(o, c, k, k))
+            m = rng.uniform(0.0, 1.0, size=(n, k, k))
             for b in (rng.normal(size=o), None):
                 bt = None if b is None else Tensor(b)
-                fast = conv2d_per_sample(Tensor(x), Tensor(wb), bt, stride=s, padding=p).data
-                slow = conv2d_per_sample_reference(x, wb, b, stride=s, padding=p)
-                assert np.max(np.abs(fast - slow)) < 1e-12
+                fast = conv2d_per_sample(Tensor(x), Tensor(w), Tensor(m), bt, stride=s, padding=p)
+                slow = conv2d_per_sample_reference(x, w[None] * m[:, None, None], b, s, p)
+                assert np.max(np.abs(fast.data - slow)) < 1e-12
 
     def test_identical_weights_match_plain_conv(self):
+        """Unit masks give every sample the shared kernel itself."""
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 2, 6, 6))
         w = rng.normal(size=(4, 2, 3, 3))
-        wb = np.broadcast_to(w, (3, 4, 2, 3, 3)).copy()
-        a = conv2d_per_sample(Tensor(x), Tensor(wb), stride=1, padding=1).data
+        a = conv2d_per_sample(Tensor(x), Tensor(w), Tensor(np.ones((3, 3, 3))), padding=1).data
         c = conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
         np.testing.assert_allclose(a, c, rtol=0, atol=1e-13)
 
     def test_batch_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            conv2d_per_sample(Tensor(np.zeros((2, 1, 4, 4))), Tensor(np.zeros((3, 1, 1, 3, 3))))
+        """A mask per sample, and one value per kernel tap."""
+        x, w = Tensor(np.zeros((2, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3)))
+        for shape in ((3, 3, 3), (2, 2, 2), (2, 9), (1, 3, 3)):
+            with pytest.raises(ValueError, match="N x K x K"):
+                conv2d_per_sample(x, w, Tensor(np.zeros(shape)))
 
 
 def test_conv_builds_no_column_matrix():
@@ -258,25 +267,35 @@ def conv_cases(draw, max_batch=3):
     return geometry, draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
-@given(conv_cases(max_batch=5))
-def test_batch_chunks_change_no_value(case):
-    """Forward and every (need_x, need_w, need_b) gradient are bit-identical
-    whether the batch runs as one chunk, as one-sample chunks, or as chunks
-    of 2 or 3 samples with a ragged last one."""
-    (n, c, h, wdt, o, k, s, p), per_sample, has_bias, seed = case
+def conv_arrays(case):
+    """x, w, the N x K x K mask (None for a shared kernel) and the bias of
+    a `conv_cases` draw."""
+    (n, c, h, wdt, o, k, s, p), masked, has_bias, seed = case
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, c, h, wdt))
-    w = rng.normal(size=(n, o, c, k, k) if per_sample else (o, c, k, k))
+    w = rng.normal(size=(o, c, k, k))
+    m = rng.uniform(0.0, 1.0, size=(n, k, k)) if masked else None
     b = rng.normal(size=o) if has_bias else None
+    return rng, x, w, m, b
+
+
+@given(conv_cases(max_batch=5))
+def test_batch_chunks_change_no_value(case):
+    """Forward and every (need_x, need_w, need_m, need_b) gradient are
+    bit-identical whether the batch runs as one chunk, as one-sample
+    chunks, or as chunks of 2 or 3 samples with a ragged last one. A shared
+    kernel has no mask, so need_m stays False for it."""
+    (n, c, h, wdt, o, k, s, p), masked, _, _ = case
+    rng, x, w, m, b = conv_arrays(case)
     ho, wo = (h + 2 * p - k) // s + 1, (wdt + 2 * p - k) // s + 1
     g = rng.normal(size=(n, o, ho, wo))
     hg, wg, *_, chunk = tensor._conv_plan(x.shape, o, k, s, p, ho, wo)
     assert chunk == n
+    needs = [need for need in itertools.product((False, True), repeat=4) if masked or not need[2]]
 
     def run():
-        grads = [tensor._conv_grads(g, x, w, s, p, *need)
-                 for need in itertools.product((False, True), repeat=3)]
-        return [tensor._conv_forward(x, w, b, s, p, ho, wo)] + [a for gs in grads for a in gs]
+        grads = [tensor._conv_grads(g, x, w, m, s, p, *need) for need in needs]
+        return [tensor._conv_forward(x, w, m, b, s, p, ho, wo)] + [a for gs in grads for a in gs]
 
     want = run()
     for per_chunk in (1, 2, 3):
@@ -292,36 +311,44 @@ def test_batch_chunks_change_no_value(case):
 
 @given(conv_cases())
 def test_random_conv_geometry_matches_the_oracle(case):
-    """Forward against the direct loop to 1e-12; backward through the
-    adjoint identities <g, conv(x, w)> = <dx, x> = <dw, w> to 1e-12 of
-    <|g|, conv(|x|, |w|)>, which bounds every term of the three sums,
-    and db = g.sum((0, 2, 3)). Shared and per-sample kernels, with and
-    without a bias."""
-    (n, c, h, wdt, o, k, s, p), per_sample, has_bias, seed = case
-    if per_sample:
-        op, ref = conv2d_per_sample, conv2d_per_sample_reference
+    """Forward against the direct loop to 1e-12, the masked conv against
+    the loop over the per-sample kernels w * m[n]; backward through the
+    adjoint identities <g, conv(x, w, m)> = <dx, x> = <dw, w> = <dm, m>
+    to 1e-12 of <|g|, conv(|x|, |w|, |m|)>, which bounds every term of the
+    four sums, and db = g.sum((0, 2, 3)). Shared and masked kernels, with
+    and without a bias, under every set of inputs the tape needs: exactly
+    the needed inputs get an adjoint."""
+    rng, x, w, m, b = conv_arrays(case)
+    s, p = case[0][6:]
+    if m is None:
+        op, ref, wb, wabs = conv2d, conv2d_reference, w, np.abs(w)
     else:
-        op, ref = conv2d, conv2d_reference
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, c, h, wdt))
-    w = rng.normal(size=(n, o, c, k, k) if per_sample else (o, c, k, k))
-    b = rng.normal(size=o) if has_bias else None
-
-    tape = GradTape()
-    tx, tw, tb = Tensor(x), Tensor(w), None if b is None else Tensor(b)
-    y = op(tx, tw, tb, stride=s, padding=p, tape=tape)
-    out = y.data
-    assert np.max(np.abs(out - ref(x, w, b, stride=s, padding=p))) < 1e-12
+        op, ref = conv2d_per_sample, conv2d_per_sample_reference
+        wb, wabs = w[None] * m[:, None, None], np.abs(w)[None] * m[:, None, None]
+    leaves = [Tensor(a) for a in (x, w, m, b) if a is not None]
+    args = leaves if b is not None else leaves + [None]
+    want = ref(x, wb, b, stride=s, padding=p)
+    out = op(*args, stride=s, padding=p).data
+    assert np.max(np.abs(out - want)) < 1e-12
 
     g = rng.normal(size=out.shape)
-    tape.backward(y, seed=g)
     conv_part = out if b is None else out - b[:, None, None]
     lhs = float(np.sum(g * conv_part))
-    scale = float(np.sum(np.abs(g) * ref(np.abs(x), np.abs(w), None, stride=s, padding=p)))
-    assert abs(float(np.sum(tx.grad * x)) - lhs) <= 1e-12 * scale
-    assert abs(float(np.sum(tw.grad * w)) - lhs) <= 1e-12 * scale
-    if b is not None:
-        np.testing.assert_allclose(tb.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
+    scale = float(np.sum(np.abs(g) * ref(np.abs(x), wabs, None, stride=s, padding=p)))
+    for r in range(1, len(leaves) + 1):
+        for wrt in itertools.combinations(leaves, r):
+            for t in leaves:
+                t.grad = None
+            tape = GradTape(wrt=wrt)
+            y = op(*args, stride=s, padding=p, tape=tape)
+            tape.backward(y, seed=g)
+            assert np.array_equal(y.data, out)
+            assert [t.grad is not None for t in leaves] == [t in wrt for t in leaves]
+            for t in wrt:
+                if b is not None and t is leaves[-1]:
+                    np.testing.assert_allclose(t.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
+                else:
+                    assert abs(float(np.sum(t.grad * t.data)) - lhs) <= 1e-12 * scale
 
 
 class TestGlobalPool:
@@ -699,15 +726,17 @@ class TestActivity:
     def test_conv_grads_skip_what_is_not_needed(self, per_sample):
         rng = np.random.default_rng(31)
         xd = rng.normal(size=(2, 3, 9, 9))
-        wd = rng.normal(size=(2, 4, 3, 3, 3) if per_sample else (4, 3, 3, 3))
+        wd = rng.normal(size=(4, 3, 3, 3))
+        md = rng.uniform(size=(2, 3, 3)) if per_sample else None
         g = rng.normal(size=(2, 4, 5, 5))
-        full = tensor._conv_grads(g, xd, wd, 2, 1, True, True, True)
-        no_w = tensor._conv_grads(g, xd, wd, 2, 1, True, False, False)
-        no_x = tensor._conv_grads(g, xd, wd, 2, 1, False, True, True)
-        assert no_w[1] is None and no_w[2] is None and no_x[0] is None
+        full = tensor._conv_grads(g, xd, wd, md, 2, 1, True, True, per_sample, True)
+        no_w = tensor._conv_grads(g, xd, wd, md, 2, 1, True, False, False, False)
+        no_x = tensor._conv_grads(g, xd, wd, md, 2, 1, False, True, per_sample, True)
+        assert no_w[1:] == (None, None, None) and no_x[0] is None
+        assert (full[2] is None) == (not per_sample)
         np.testing.assert_array_equal(no_w[0], full[0])
-        np.testing.assert_array_equal(no_x[1], full[1])
-        np.testing.assert_array_equal(no_x[2], full[2])
+        for i in (1, 2, 3):
+            np.testing.assert_array_equal(no_x[i], full[i])
 
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
     def test_train_step_grads_match_the_full_tape(self, mode):
@@ -745,7 +774,7 @@ def taped_calls():
     return {
         ("conv2d", None): lambda t: conv2d(x, w, b, 1, 1, t),
         ("conv2d_per_sample", None): lambda t: conv2d_per_sample(
-            x, Tensor(rng.normal(size=(2, 4, 3, 3, 3))), b, 1, 1, t),
+            x, w, Tensor(rng.uniform(size=(2, 3, 3))), b, 1, 1, t),
         ("global_pool", "max"): lambda t: global_pool(x, "max", t),
         ("global_pool", "avg"): lambda t: global_pool(x, "avg", t),
         ("dense", None): lambda t: dense(z, Tensor(rng.normal(size=(4, 3))), b, t),
@@ -761,7 +790,7 @@ def taped_calls():
         ("downsample_pad", None): lambda t: downsample_pad(x, 4, t),
         ("_mask_scale", None): lambda t: layers._mask_scale(w, Tensor(np.float64(1.5)), t),
         ("_per_sample_masked_weights", None): lambda t: layers._per_sample_masked_weights(
-            w, s, s, t),
+            s, s, 3, t),
     }
 
 
