@@ -146,8 +146,13 @@ def _type_hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
+@cache  # uncached, typing.get_origin and get_args are half of every spec check
+def _hint_parts(hint) -> tuple:
+    return typing.get_origin(hint), typing.get_args(hint)
+
+
 def _conforms(value, hint) -> bool:
-    args = typing.get_args(hint)
+    origin, args = _hint_parts(hint)
     if hint in (int, float):
         if isinstance(value, bool) or not isinstance(value, (int, hint)):
             return False
@@ -155,7 +160,7 @@ def _conforms(value, hint) -> bool:
             return hint is int or math.isfinite(value)
         except OverflowError:  # an int beyond the float range
             return False
-    if typing.get_origin(hint) is tuple:
+    if origin is tuple:
         if not isinstance(value, tuple):
             return False
         if args[-1] is Ellipsis:

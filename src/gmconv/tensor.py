@@ -496,11 +496,16 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None, tape: GradTape | None =
 def relu(x: Tensor, tape: GradTape | None = None) -> Tensor:
     """Elementwise max(0, x); the subgradient at exactly 0 is 0. NaN is not
     clamped: it passes forward, and its adjoint passes backward, so an
-    overflowed activation cannot vanish into a zero output or map."""
-    off = x.data <= 0.0
-    out = Tensor(np.where(off, 0.0, x.data))
+    overflowed activation cannot vanish into a zero output or map.
+    Bit for bit, the output is np.where(x <= 0, 0.0, x) and the adjoint
+    np.where(x <= 0, 0.0, g). The backward reads its mask off the output,
+    which is +0.0 exactly where x <= 0, so the tape keeps no mask array."""
+    out = Tensor(np.maximum(x.data, 0.0))
     if tape is not None:
-        tape.record(out, (x,), lambda g: (np.where(off, 0.0, g),))
+        y, u64 = out.data, np.uint64
+        # g's bits times 1 or 0: g's own bits, or +0.0's all-zero bits
+        tape.record(out, (x,), lambda g: (
+            np.multiply(g.view(u64), y != 0.0, out=np.empty(y.shape, u64)).view(np.float64),))
     return out
 
 

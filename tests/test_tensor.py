@@ -226,6 +226,27 @@ def test_conv_builds_no_column_matrix():
     assert backward_peak < 1.25 * col_bytes
 
 
+def test_relu_builds_and_keeps_no_mask():
+    """A tape-free relu allocates only its output, and a taped one leaves
+    nothing alive but its output and the few hundred bytes of its record:
+    neither builds an x.size-byte bool mask."""
+    x = Tensor(np.random.default_rng(0).normal(size=(16, 8, 16, 16)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = relu(x)
+        free_peak = tracemalloc.get_traced_memory()[1] - before
+        del out
+        tape = GradTape()
+        before = tracemalloc.get_traced_memory()[0]
+        out = relu(x, tape)
+        kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert free_peak < out.data.nbytes + x.data.size // 2
+    assert kept < 4096
+
+
 def test_conv_working_set_stays_chunk_sized():
     """A batch-64 conv at C=O=8, 32x32, K=3, p=1 runs in several batch
     chunks, so neither pass builds a full-batch buffer: the forward peak net
@@ -482,13 +503,57 @@ class TestActivations:
         np.testing.assert_array_equal(x.grad, [0.0])
 
     def test_relu_passes_nan_and_keeps_every_other_value(self):
-        x = Tensor([np.nan, -np.inf, -1.0, -0.0, 0.0, 5e-324, np.inf])
+        """NaN of either sign passes with its sign; every x <= 0, -0.0 and
+        -5e-324 included, gives +0.0 and an adjoint of +0.0, even where the
+        seed is negative, -0.0, NaN or -inf."""
+        neg_nan = np.copysign(np.nan, -1.0)
+        x = Tensor([np.nan, -np.inf, -1.0, -0.0, 0.0, 5e-324, np.inf, neg_nan, -5e-324])
         tape = GradTape()
         out = relu(x, tape)
-        np.testing.assert_array_equal(out.data, [np.nan, 0.0, 0.0, 0.0, 0.0, 5e-324, np.inf])
-        assert not np.signbit(out.data[3])
-        tape.backward(out, seed=np.full(7, 2.0))
-        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0])
+        np.testing.assert_array_equal(
+            out.data, [np.nan, 0.0, 0.0, 0.0, 0.0, 5e-324, np.inf, np.nan, 0.0]
+        )
+        assert np.signbit(out.data).tolist() == [False] * 7 + [True, False]
+        tape.backward(out, seed=np.array([2.0, -3.0, -0.0, np.nan, -np.inf, 2.0, 2.0, 2.0, -1.0]))
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0])
+        assert not np.signbit(x.grad).any()
+
+    def test_relu_matches_the_where_formulas_bit_for_bit(self):
+        """Forward and adjoint equal np.where(x <= 0, 0.0, x) and
+        np.where(x <= 0, 0.0, g) byte for byte, on every pairing of special
+        x and g values (signed zeros and NaNs, infinities, subnormals) mixed
+        with random ones, at 2-D and 0-d. The adjoint of a read-only,
+        transposed g is C-contiguous, and g is left as it was."""
+        special = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
+                   5e-324, -5e-324, 1e-310, -1e-310, 1.5, -1.5]
+        rng = np.random.default_rng(16)
+        xs = np.concatenate([np.repeat(special, len(special)), rng.normal(size=156)])
+        gs = np.concatenate([np.tile(special, len(special)), rng.normal(size=156)])
+        order = rng.permutation(xs.size)
+        x = xs[order].reshape(15, 20)
+        h = np.ascontiguousarray(gs[order].reshape(15, 20).T)
+        h.flags.writeable = False
+        g, before = h.T, h.tobytes()
+        assert not g.flags.c_contiguous and not g.flags.writeable
+
+        tape = GradTape()
+        out = relu(Tensor(x), tape)
+        assert out.data.tobytes() == np.where(x <= 0, 0.0, x).tobytes()
+        (dx,) = tape.records[-1][2](g)
+        assert dx.dtype == np.float64 and dx.flags.c_contiguous
+        assert dx.tobytes() == np.where(x <= 0, 0.0, g).tobytes()
+        assert not np.signbit(dx[x <= 0]).any()
+        assert h.tobytes() == before
+
+        for xv in special:
+            for gv in special:
+                tape = GradTape()
+                out = relu(Tensor(xv), tape)
+                assert out.data.shape == ()
+                assert out.data.tobytes() == np.where(xv <= 0, 0.0, xv).tobytes()
+                (dx,) = tape.records[-1][2](np.array(gv))
+                assert dx.shape == ()
+                assert dx.tobytes() == np.where(xv <= 0, 0.0, gv).tobytes()
 
     def test_softplus_value_and_grad(self):
         x = Tensor([-700.0, -1.0, 0.0, 1.0, 700.0])
