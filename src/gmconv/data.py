@@ -1,4 +1,4 @@
-"""Dataset ingestion: CIFAR binary files, IDX files, synthetic data.
+"""Dataset ingestion: CIFAR binary files, synthetic data.
 
 Loaders return (images, labels) as float64 N x C x H x W in [0, 1]
 (optionally channel-normalized) and int64 N. File formats are parsed
@@ -10,8 +10,7 @@ garbage.
 from __future__ import annotations
 
 import os
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,7 @@ class DataError(Exception):
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
 
-DATASET_IDS = ("cifar10-bin", "cifar100-bin", "mnist-idx", "synthetic")
+DATASET_IDS = ("cifar10-bin", "cifar100-bin", "synthetic")
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ def load_dataset(src: DatasetSource) -> tuple[np.ndarray, np.ndarray]:
         images, labels = make_synthetic(
             src.num_samples or 1000, src.num_classes, src.image_shape, src.seed, src.split
         )
-    elif src.id in ("cifar10-bin", "cifar100-bin"):
+    else:  # cifar10-bin or cifar100-bin
         label_bytes = 1 if src.id == "cifar10-bin" else 2
         num_classes = 10 if src.id == "cifar10-bin" else 100
         names = CIFAR_TRAIN_FILES if src.split == "train" else CIFAR_TEST_FILES
@@ -79,17 +78,6 @@ def load_dataset(src: DatasetSource) -> tuple[np.ndarray, np.ndarray]:
             label_parts.append(labs)
         images = np.concatenate(parts, axis=0).astype(np.float64) / 255.0
         labels = np.concatenate(label_parts, axis=0)
-    elif src.id == "mnist-idx":
-        prefix = "train" if src.split == "train" else "t10k"
-        images = read_idx_images(os.path.join(src.root, f"{prefix}-images-idx3-ubyte"))
-        labels = read_idx_labels(os.path.join(src.root, f"{prefix}-labels-idx1-ubyte"))
-        if len(images) != len(labels):
-            raise DataError(
-                f"image count {len(images)} does not match label count {len(labels)}"
-            )
-        images = images.astype(np.float64) / 255.0
-    else:  # pragma: no cover - DatasetSource validates ids
-        raise DataError(f"unknown dataset id {src.id!r}")
 
     if src.num_samples:
         images = images[: src.num_samples]
@@ -141,42 +129,6 @@ def read_cifar_file(
         )
     images = records[:, label_bytes:].reshape(-1, 3, 32, 32)
     return images, labels
-
-
-def _read_idx_header(path: str, want_magic: int, dims: int) -> tuple[np.ndarray, int]:
-    if not os.path.exists(path):
-        raise DataError(f"{path}: no such file")
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header = 4 * (1 + dims)
-    if len(raw) < header:
-        raise DataError(
-            f"{path}: {len(raw)} bytes is shorter than the {header}-byte header"
-        )
-    magic = struct.unpack(">i", raw[:4])[0]
-    if magic != want_magic:
-        raise DataError(
-            f"{path}: magic 0x{magic:08x} at byte offset 0, expected 0x{want_magic:08x}"
-        )
-    shape = struct.unpack(f">{dims}i", raw[4:header])
-    expected = header + int(np.prod(shape))
-    if len(raw) != expected:
-        raise DataError(
-            f"{path}: expected {expected} bytes for shape {shape}, found {len(raw)}"
-        )
-    data = np.frombuffer(raw, dtype=np.uint8, offset=header)
-    return data.reshape(shape), magic
-
-
-def read_idx_images(path: str) -> np.ndarray:
-    """Parse an IDX3 image file into uint8 N x 1 x rows x cols."""
-    data, _ = _read_idx_header(path, 0x00000803, 3)
-    return data[:, None, :, :]
-
-
-def read_idx_labels(path: str) -> np.ndarray:
-    data, _ = _read_idx_header(path, 0x00000801, 1)
-    return data.astype(np.int64)
 
 
 def make_synthetic(

@@ -1,9 +1,9 @@
 """Convolution layers: plain, static Gaussian-masked, dynamic Gaussian-masked.
 
 A static layer owns one learnable width parameter sigma; its forward pass
-multiplies the kernel by circular_mask(sigma, K), broadcast over both
-channel dimensions, and convolves as usual. Gradients reach sigma through
-the analytic mask derivative.
+multiplies the kernel by the K x K grid circular_values(sigma, K), broadcast
+over both channel dimensions, and convolves as usual. Gradients reach sigma
+through the analytic mask derivative.
 
 A dynamic layer predicts per-sample widths (sigma1, sigma2) from a pooled
 descriptor of its own input through a small two-layer bottleneck and
@@ -42,7 +42,7 @@ from .tensor import (
 
 PATTERNS = ("sigma", "sigma_pair", "sigma_ratio")
 
-# floor of the positivity map g(t) = softplus(t) + GMIN; keeps predicted
+# floor of the positivity map g(t) = softplus(t) + G_FLOOR; keeps predicted
 # widths strictly positive and the map smooth everywhere
 G_FLOOR = 0.1
 REDUCTION_RATIO = 4.0 / 3.0
@@ -89,7 +89,7 @@ class Conv2dLayer(_ConvLayer):
 
 
 def _mask_scale(weight: Tensor, sigma: Tensor, tape: GradTape | None) -> Tensor:
-    """Tape op: W' = W * circular_mask(sigma, K), mask broadcast over O, C.
+    """Tape op: W' = W * circular_values(sigma, K), mask broadcast over O, C.
 
     The sigma input is the raw learnable scalar; clamping happens inside
     the mask evaluation, and the backward pass returns zero for sigma
@@ -248,16 +248,12 @@ class DynamicSigmaModule:
         z = self.descriptor(x, tape)
         h = relu(dense(z, self.w0, None, tape), tape)
         raw = dense(h, self.w1, self.b1, tape)
-        n = x.data.shape[0]
-        floor_vec = Tensor(np.full(n, G_FLOOR))
-
-        def g(col: Tensor) -> Tensor:
-            return add(softplus(col, tape), floor_vec, tape)
-
-        first = g(take_column(raw, 0, tape))
+        floor = Tensor(np.full(raw.data.shape, G_FLOOR))
+        widths = add(softplus(raw, tape), floor, tape)
+        first = take_column(widths, 0, tape)
         if self.pattern == "sigma":
             return first, first
-        second = g(take_column(raw, 1, tape))
+        second = take_column(widths, 1, tape)
         if self.pattern == "sigma_pair":
             return first, second
         return first, mul(first, second, tape)

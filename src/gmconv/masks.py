@@ -73,7 +73,7 @@ def _offsets(kernel_size: int) -> np.ndarray:
         k = operator.index(kernel_size)  # not int(): 3.9 is no kernel size
     except TypeError:
         k = 0  # rejected below, with every size under 1
-    if k < 1:
+    if k < 1 or isinstance(kernel_size, bool):
         raise ValueError(f"kernel_size must be an integer >= 1, got {kernel_size!r}")
     return np.arange(k, dtype=np.float64) - (k - 1) / 2.0
 

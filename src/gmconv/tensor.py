@@ -353,13 +353,16 @@ def conv2d_reference(
 ) -> np.ndarray:
     """Direct-loop convolution on raw arrays; the internal oracle path.
 
-    Same contract as conv2d's forward, written with explicit loops and no
-    shared helper code, so a bug in the fast path cannot hide here.
+    Same contract as conv2d's forward, written with explicit loops; it
+    shares only the input checks with the fast path and computes its own
+    output extent, so a bug in the fast path cannot hide here.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     bdat = None if b is None else np.asarray(b, dtype=np.float64)
-    n, c, h, wdt, o, k, ho, wo = _conv_checks(x, w, bdat, stride, padding)
+    n, _, h, wdt, o, k, _, _ = _conv_checks(x, w, bdat, stride, padding)
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (wdt + 2 * padding - k) // stride + 1
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     out = np.zeros((n, o, ho, wo))
     for ni in range(n):

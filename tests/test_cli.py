@@ -235,6 +235,7 @@ class TestTrainCommand:
             ("lr_decay", math.nan),
             ("width", math.nan),
             ("seed", -1),
+            ("dataset", "mnist-idx"),
         ],
     )
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value):

@@ -1,7 +1,5 @@
 """Dataset parsing, synthesis, and augmentation."""
 
-import struct
-
 import numpy as np
 import pytest
 
@@ -13,8 +11,6 @@ from gmconv.data import (
     load_dataset,
     make_synthetic,
     read_cifar_file,
-    read_idx_images,
-    read_idx_labels,
 )
 
 
@@ -29,21 +25,6 @@ def write_cifar_batch(path, n, label_bytes=1, label_fn=None):
         pixels[0] = 255  # first red-plane byte, lands at images[i, 0, 0, 0]
         rows.append(np.concatenate([np.array(head, dtype=np.uint8), pixels]))
     np.concatenate(rows).tofile(path)
-
-
-def write_idx_images(path, n, rows=28, cols=28, magic=0x00000803, truncate=0):
-    body = np.arange(n * rows * cols, dtype=np.int64) % 256
-    payload = struct.pack(">iiii", magic, n, rows, cols) + body.astype(np.uint8).tobytes()
-    if truncate:
-        payload = payload[:-truncate]
-    with open(path, "wb") as fh:
-        fh.write(payload)
-
-
-def write_idx_labels(path, labels, magic=0x00000801):
-    arr = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">ii", magic, len(arr)) + arr.tobytes())
 
 
 class TestCifarReader:
@@ -110,47 +91,6 @@ class TestCifarReader:
         imgs2, labs2 = load_dataset(norm)
         assert imgs2.shape == (10, 3, 32, 32)
         np.testing.assert_allclose(imgs2, (images[:10] - 0.5) / 0.25, rtol=1e-15)
-
-
-class TestIdxReader:
-    def test_images_roundtrip(self, tmp_path):
-        p = tmp_path / "train-images-idx3-ubyte"
-        write_idx_images(str(p), 5)
-        images = read_idx_images(str(p))
-        assert images.shape == (5, 1, 28, 28)
-        assert images[0, 0, 0, 1] == 1
-
-    def test_labels_roundtrip(self, tmp_path):
-        p = tmp_path / "train-labels-idx1-ubyte"
-        write_idx_labels(str(p), [3, 1, 4, 1, 5])
-        np.testing.assert_array_equal(read_idx_labels(str(p)), [3, 1, 4, 1, 5])
-
-    def test_wrong_magic_reports_offset_zero(self, tmp_path):
-        p = tmp_path / "train-images-idx3-ubyte"
-        write_idx_images(str(p), 2, magic=0x00000777)
-        with pytest.raises(DataError) as err:
-            read_idx_images(str(p))
-        assert "byte offset 0" in str(err.value)
-        assert "0x00000803" in str(err.value)
-
-    def test_truncated_names_expected_vs_actual(self, tmp_path):
-        p = tmp_path / "train-images-idx3-ubyte"
-        write_idx_images(str(p), 3, truncate=50)
-        with pytest.raises(DataError) as err:
-            read_idx_images(str(p))
-        msg = str(err.value)
-        expected = 16 + 3 * 28 * 28
-        assert str(expected) in msg
-        assert str(expected - 50) in msg
-
-    def test_load_dataset_mnist(self, tmp_path):
-        write_idx_images(str(tmp_path / "train-images-idx3-ubyte"), 6)
-        write_idx_labels(str(tmp_path / "train-labels-idx1-ubyte"), [0, 1, 2, 3, 4, 5])
-        src = DatasetSource("mnist-idx", root=str(tmp_path), split="train")
-        images, labels = load_dataset(src)
-        assert images.shape == (6, 1, 28, 28)
-        assert images.max() <= 1.0
-        np.testing.assert_array_equal(labels, np.arange(6))
 
 
 class TestSynthetic:

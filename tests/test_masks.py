@@ -136,9 +136,9 @@ class TestCircular:
             masks.circular_values(1.0, -3)
 
     def test_kernel_size_must_be_an_integer(self):
-        """A fractional size is no kernel size, not a 3x3 mask; numpy
-        integer sizes build the same mask as Python ints."""
-        for bad in (3.9, 3.0, "3"):
+        """A fractional size or a bool is no kernel size, not a 3x3 or 1x1
+        mask; numpy integer sizes build the same mask as Python ints."""
+        for bad in (3.9, 3.0, "3", True, False):
             with pytest.raises(ValueError, match="kernel_size"):
                 masks.circular_values(1.0, bad)
             with pytest.raises(ValueError, match="kernel_size"):

@@ -1,16 +1,20 @@
 """Package surface: the shipped configs and the exported names."""
 
+import dataclasses
 import glob
 import os
+import re
 
 import numpy as np
 import pytest
 
 import gmconv
 import gmconv.tensor
-from gmconv.train import build_run_model, load_config, split_source
+from gmconv.data import DATASET_IDS
+from gmconv.train import TrainConfig, build_run_model, load_config, split_source
 
-CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
 
 
 def test_configs_are_shipped():
@@ -54,3 +58,20 @@ def test_package_exports_exactly_its_public_surface():
         "evaluate", "evaluate_model", "load_config", "metrics_to_csv",
         "__version__",
     ])
+
+
+def test_readme_documents_exactly_the_config_fields_and_dataset_ids():
+    """README's config table lists every TrainConfig field once, in order,
+    and both its `dataset` row and the `eval --dataset` list name exactly
+    the dataset ids, so a removed option cannot stay documented."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    table = readme.split("| key ", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        key, *cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[key.strip("`")] = cells
+    assert list(rows) == [f.name for f in dataclasses.fields(TrainConfig)]
+    assert re.findall(r"`([^`]+)`", rows["dataset"][-1]) == list(DATASET_IDS)
+    listed = re.search(r"`--dataset`\s*\(([^)]*)\)", readme).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == list(DATASET_IDS)
