@@ -178,8 +178,8 @@ def dump_layer_masks(model, out_dir: str) -> dict:
         entry = {"layer": name, "kernel_size": k, "csv": f"{name}.csv", "pgm": f"{name}.pgm"}
         if isinstance(layer, StaticGMConvLayer):
             raw = float(layer.sigma.data)
-            mask = layer.current_mask()
-            entry.update(kind="static", sigma_raw=raw, sigma_effective=masks.clamp_sigma(raw))
+            mask = masks.circular_mask(raw, k)
+            entry.update(kind="static", sigma_raw=raw, sigma_effective=mask.sigma1)
         else:
             mod = layer.sigma_module
             zero = Tensor(np.zeros((1, mod.in_channels, 1, 1)))

@@ -150,9 +150,6 @@ class StaticGMConvLayer(_ConvLayer):
         self.sigma = Tensor(np.float64(sigma))
         self.folded = False
 
-    def current_mask(self) -> masks.GaussianMask:
-        return masks.circular_mask(float(self.sigma.data), self.kernel_size)
-
     def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
         if self.folded:
             raise RuntimeError("layer was folded; its sigma has been consumed")

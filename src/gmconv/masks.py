@@ -78,14 +78,6 @@ def _offsets(kernel_size: int) -> np.ndarray:
     return np.arange(k, dtype=np.float64) - (k - 1) / 2.0
 
 
-def offset_grids(kernel_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) offsets of every cell from the kernel center; x varies along
-    columns (horizontal), y along rows (vertical)."""
-    offsets = _offsets(kernel_size)
-    x, y = np.meshgrid(offsets, offsets)
-    return x, y
-
-
 def _gaussian(sigma1, sigma2, kernel_size: int, grad: bool = False):
     """Masks of shape (N, K, K) for raw width vectors of shape (N,).
 
@@ -190,22 +182,6 @@ def write_grid_csv(grid: np.ndarray, path: str) -> None:
         for row in g:
             fh.write(",".join("%.17g" % v for v in row))
             fh.write("\n")
-
-
-def read_grid_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"{path}: empty grid file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows")
-    return np.array(rows, dtype=np.float64)
 
 
 def write_grid_pgm(grid: np.ndarray, path: str) -> None:

@@ -11,10 +11,11 @@ both policy application and folding.
 
 Each structural fact is stated once. A LayerSpec checks its own fields;
 one walk over a spec (``_walk_spec``) checks that the layers compose and
-yields every conv and dense descriptor with its output size, and both
-``check_spec`` and ``count_flops`` run on it. ``count_params`` is the
-parameter size of the Model a spec builds, so the layers' own shape rules
-(the sigma predictor's hidden width and arity included) are the only copy.
+yields every conv and dense descriptor with its output size; a ModelSpec
+runs it to the end when built, and ``count_flops`` sums over it.
+``count_params`` is the parameter size of the Model a spec builds, so the
+layers' own shape rules (the sigma predictor's hidden width and arity
+included) are the only copy.
 
 A Model is a list of modules; a residual block names its two convs as
 children and reads its stride and widths from them. ``Model._walk``
@@ -126,7 +127,8 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        check_spec(self)
+        for _ in _walk_spec(self):
+            pass
 
 
 def check_field_types(obj, error: type[Exception] = ValueError) -> None:
@@ -185,8 +187,10 @@ class ConvPolicy:
         check_field_types(self)
         if self.stem_mode not in MODES or self.body_mode not in MODES:
             raise ValueError(f"modes must be one of {MODES}")
-        if self.sigma_init <= 0:
-            raise ValueError(f"sigma_init must be positive, got {self.sigma_init}")
+        # the same bound as the gmconv-dynamic layers the policy would make
+        floor = G_FLOOR if "dynamic" in (self.stem_mode, self.body_mode) else 0.0
+        if self.sigma_init <= floor:
+            raise ValueError(f"sigma_init must be a number > {floor}, got {self.sigma_init}")
         if self.pattern not in PATTERNS:
             raise ValueError(f"unknown pattern {self.pattern!r}, expected one of {PATTERNS}")
 
@@ -261,16 +265,11 @@ def _walk_spec(spec: ModelSpec):
         )
 
 
-def check_spec(spec: ModelSpec) -> None:
-    """Statically verify that consecutive layer shapes compose and the
-    spec ends in exactly one dense head."""
-    for _ in _walk_spec(spec):
-        pass
-
-
 # ---------------------------------------------------------------------------
 # builders
 
+# the (C, H, W) input of every zoo net
+INPUT_SHAPE = (3, 32, 32)
 
 # Each net's stem and body items at width 1.0, in order; the first is the
 # stem. ("conv", out, kernel, stride, padding) is a conv followed by a relu;
@@ -290,7 +289,7 @@ _NETS = {
 
 def build_model(name: str, num_classes: int, width: float = 1.0) -> ModelSpec:
     """Construct the net `name` of ``_NETS`` as an all-plain spec on
-    (3, 32, 32) inputs with an avg-pool + dense head. `width` scales every
+    ``INPUT_SHAPE`` inputs with an avg-pool + dense head. `width` scales every
     channel count of every net (rounded, at least 1) and must be a finite
     number > 0."""
     if name not in _NETS:
@@ -298,7 +297,7 @@ def build_model(name: str, num_classes: int, width: float = 1.0) -> ModelSpec:
     if not (_conforms(width, float) and width > 0):
         raise ValueError(f"width must be a finite number > 0, got {width!r}")
     layers: list[LayerSpec] = []
-    c = 3
+    c = INPUT_SHAPE[0]
     for i, (op, base, *geometry) in enumerate(_NETS[name]):
         role = "body" if i else "stem"
         out = max(1, round(base * width))
@@ -315,7 +314,7 @@ def build_model(name: str, num_classes: int, width: float = 1.0) -> ModelSpec:
         LayerSpec("pool", "head", pool_mode="avg"),
         LayerSpec("dense", "head", in_features=c, out_features=num_classes),
     ]
-    return ModelSpec(name, num_classes, (3, 32, 32), tuple(layers))
+    return ModelSpec(name, num_classes, INPUT_SHAPE, tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +486,14 @@ class _ResidualBlock:
         return []
 
 
-def _he_conv_weight(rng: np.random.Generator, o: int, c: int, k: int) -> Tensor:
-    std = math.sqrt(2.0 / (c * k * k))
-    return Tensor(rng.normal(0.0, std, size=(o, c, k, k)))
+def _he_normal(rng: np.random.Generator, *shape: int) -> Tensor:
+    """He-normal weights: fan-in is the product of all but the first dim."""
+    return Tensor(rng.normal(0.0, math.sqrt(2.0 / math.prod(shape[1:])), size=shape))
 
 
 def _build_conv_module(layer: LayerSpec, rng: np.random.Generator):
     o, c, k = layer.out_channels, layer.in_channels, layer.kernel_size
-    w = _he_conv_weight(rng, o, c, k)
+    w = _he_normal(rng, o, c, k, k)
     b = Tensor(np.zeros(o))
     if layer.op == "conv":
         return Conv2dLayer(w, b, layer.stride, layer.padding)
@@ -534,8 +533,7 @@ class Model:
             elif layer.op == "pool":
                 self.modules.append(_GlobalPoolOp(layer.pool_mode))
             else:  # dense
-                std = math.sqrt(2.0 / layer.in_features)
-                w = Tensor(rng.normal(0.0, std, size=(layer.out_features, layer.in_features)))
+                w = _he_normal(rng, layer.out_features, layer.in_features)
                 self.modules.append(_DenseOp(w, Tensor(np.zeros(layer.out_features))))
 
     def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:

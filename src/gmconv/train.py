@@ -30,6 +30,8 @@ from .checkpoint import (
 from .data import DATASET_IDS, DatasetSource, augment_batch, load_dataset
 from .masks import clamp_sigma
 from .models import (
+    _NETS,
+    INPUT_SHAPE,
     ConvPolicy,
     Model,
     apply_policy,
@@ -78,6 +80,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self, ConfigError)
+        if self.model not in _NETS:
+            raise ConfigError(f"unknown model {self.model!r}, expected one of {tuple(_NETS)}")
         if self.dataset not in DATASET_IDS:
             raise ConfigError(f"unknown dataset {self.dataset!r}, expected one of {DATASET_IDS}")
         if self.augment not in AUGMENT_MODES:
@@ -194,12 +198,11 @@ def effective_lr(config: TrainConfig, epoch: int) -> float:
 
 
 def split_source(config: TrainConfig, split: str) -> DatasetSource:
-    """The split's source, shaped like the configured model's input; its
-    count is the subset cap of a file dataset and the sample count of the
-    synthetic one. Normalization stats must match the model's channels."""
-    shape = build_model(config.model, config.num_classes, config.width).input_shape
+    """The split's source at ``INPUT_SHAPE``, the input of every zoo net;
+    its count is the subset cap of a file dataset and the sample count of
+    the synthetic one. Normalization stats must match its channels."""
     if config.normalization is not None:
-        (mean, std), c = config.normalization, shape[0]
+        (mean, std), c = config.normalization, INPUT_SHAPE[0]
         if len(mean) != c or len(std) != c:
             raise ConfigError(f"normalization needs {c} means and {c} stds, got {mean}, {std}")
     return DatasetSource(
@@ -209,7 +212,7 @@ def split_source(config: TrainConfig, split: str) -> DatasetSource:
         normalization=config.normalization,
         num_samples=config.train_subset if split == "train" else config.test_subset,
         num_classes=config.num_classes,
-        image_shape=shape,
+        image_shape=INPUT_SHAPE,
         seed=config.seed,
     )
 

@@ -14,7 +14,6 @@ import gmconv.train as train_module
 from gmconv.checkpoint import checkpoint_from_model, load_checkpoint, restore_model, save_checkpoint
 from gmconv.cli import main
 from gmconv.data import load_dataset
-from gmconv.masks import read_grid_csv
 from gmconv.models import ConvPolicy, Model, apply_policy, build_model
 from gmconv.tensor import Tensor
 from gmconv.train import TrainConfig, config_to_json, split_source
@@ -72,7 +71,7 @@ class TestMaskGen:
     def test_csv_file_roundtrip(self, tmp_path):
         out = tmp_path / "m.csv"
         assert main(["mask-gen", "--sigma", "2", "--k", "5", "--out", str(out)]) == 0
-        grid = read_grid_csv(str(out))
+        grid = np.loadtxt(str(out), delimiter=",", ndmin=2)
         assert grid.shape == (5, 5)
         assert grid[2, 2] == 1.0
 
@@ -386,7 +385,7 @@ class TestErfCommand:
         assert printed.startswith("erf_radius ")
         radius = float(printed.split()[1])
         assert radius > 0
-        grid = read_grid_csv(str(out / "erf_layer6.csv"))
+        grid = np.loadtxt(str(out / "erf_layer6.csv"), delimiter=",", ndmin=2)
         assert grid.shape == (32, 32)
         assert grid.max() == 1.0
         meta = json.loads((out / "erf_layer6.json").read_text())

@@ -415,7 +415,7 @@ class TestMaskDump:
         entry = manifest["layers"][0]
         assert entry["kind"] == "static"
         assert entry["sigma_raw"] == 5.0
-        got = masks.read_grid_csv(str(tmp_path / entry["csv"]))
+        got = np.loadtxt(str(tmp_path / entry["csv"]), delimiter=",", ndmin=2)
         np.testing.assert_array_equal(got, masks.circular_values(5.0, 3))
         assert (tmp_path / entry["pgm"]).exists()
 
@@ -446,7 +446,7 @@ class TestMaskDump:
                 mod = layer.sigma_module
                 s1, s2 = mod.predict(Tensor(np.zeros((1, mod.in_channels, 1, 1))))
                 applied = _per_sample_masked_weights(s1, s2, layer.kernel_size, None).data[0]
-                got = masks.read_grid_csv(str(out / entry["csv"]))
+                got = np.loadtxt(str(out / entry["csv"]), delimiter=",", ndmin=2)
                 np.testing.assert_array_equal(got, applied)
 
     def test_no_masked_layers_gives_empty_manifest(self, tmp_path):

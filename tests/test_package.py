@@ -11,6 +11,7 @@ import pytest
 import gmconv
 import gmconv.tensor
 from gmconv.data import DATASET_IDS
+from gmconv.models import _NETS
 from gmconv.train import TrainConfig, build_run_model, load_config, split_source
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -62,8 +63,9 @@ def test_package_exports_exactly_its_public_surface():
 
 def test_readme_documents_exactly_the_config_fields_and_dataset_ids():
     """README's config table lists every TrainConfig field once, in order,
-    and both its `dataset` row and the `eval --dataset` list name exactly
-    the dataset ids, so a removed option cannot stay documented."""
+    both its `dataset` row and the `eval --dataset` list name exactly
+    the dataset ids, and its `model` row names exactly the zoo's nets, so
+    a removed option cannot stay documented."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
     table = readme.split("| key ", 1)[1].split("\n\n", 1)[0]
@@ -72,6 +74,7 @@ def test_readme_documents_exactly_the_config_fields_and_dataset_ids():
         key, *cells = [cell.strip() for cell in line.strip("|").split("|")]
         rows[key.strip("`")] = cells
     assert list(rows) == [f.name for f in dataclasses.fields(TrainConfig)]
+    assert re.findall(r"`([^`]+)`", rows["model"][-1]) == list(_NETS)
     assert re.findall(r"`([^`]+)`", rows["dataset"][-1]) == list(DATASET_IDS)
     listed = re.search(r"`--dataset`\s*\(([^)]*)\)", readme).group(1)
     assert re.findall(r"`([^`]+)`", listed) == list(DATASET_IDS)

@@ -10,7 +10,7 @@ import gmconv.train as train_module
 from gmconv.checkpoint import load_checkpoint, restore_model
 from gmconv.data import CIFAR_TEST_FILES, CIFAR_TRAIN_FILES, DATASET_IDS, DataError, load_dataset
 from gmconv.masks import SIGMA_MAX, SIGMA_MIN
-from gmconv.models import ConvPolicy, LayerSpec, Model, ModelSpec
+from gmconv.models import ConvPolicy, LayerSpec, Model, ModelSpec, build_model
 from gmconv.tensor import Tensor
 from gmconv.train import (
     ConfigError,
@@ -114,6 +114,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             replace(TINY, augment="mixup")
 
+    def test_unknown_model_rejected_at_load(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_json('{"model": "resnet-50"}')
+        assert all(name in str(err.value) for name in ("cnn-small", "resnet20-slim", "alexnet-lite"))
+
+    def test_dynamic_policy_width_must_clear_the_layer_floor(self):
+        """A policy that makes dynamic layers takes only the widths they
+        take, so the config fails when it loads, not when it trains."""
+        with pytest.raises(ValueError, match="sigma_init"):
+            config_from_json('{"policy": {"stem_mode": "dynamic", "sigma_init": 0.05}}')
+        cfg = config_from_json('{"policy": {"stem_mode": "static", "sigma_init": 0.05}}')
+        assert cfg.policy == ConvPolicy("static", "static", sigma_init=0.05)
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "none.json"))
@@ -126,6 +139,18 @@ class TestConfig:
     def test_normalization_shape_rejected(self):
         with pytest.raises(ConfigError):
             config_from_json('{"normalization": [[0.5, 0.5, 0.5]]}')
+
+
+def test_a_run_builds_its_spec_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_model(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "build_model", counted)
+    train(replace(TINY, epochs=1))
+    assert len(calls) == 1
 
 
 class TestSchedule:
