@@ -205,6 +205,9 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise DataError(f"{path}: unknown tensor namespace in {rec['name']!r}")
         if name in target:
             raise DataError(f"{path}: tensor {rec['name']!r} is listed twice")
+        # train() stops before it saves one, so such a file is damaged or hand-made
+        if kind == "param" and not np.all(np.isfinite(arr)):
+            raise DataError(f"{path}: parameter {rec['name']!r} is not finite")
         target[name] = arr
     if len(payload) != expected:
         raise DataError(

@@ -1,18 +1,17 @@
 """Convolution layers: plain, static Gaussian-masked, dynamic Gaussian-masked.
 
-A static layer owns one learnable width parameter sigma; its forward pass
-multiplies the kernel by the K x K grid circular_values(sigma, K), broadcast
-over both channel dimensions, and convolves as usual. Gradients reach sigma
-through the analytic mask derivative.
+A static layer owns one learnable width parameter sigma; its mask is the
+K x K grid circular_values(sigma, K), which scales every kernel's taps.
+Gradients reach sigma through the analytic mask derivative.
 
 A dynamic layer predicts per-sample widths (sigma1, sigma2) from a pooled
-descriptor of its own input through a small two-layer bottleneck and
-convolves each sample with the kernel under its own elliptic mask. Either
-masked layer is two tape ops: a mask op (the static masked weight, or the
-N x K x K dynamic masks that ``conv2d_per_sample`` applies as tap scales of
-the shared kernel), then the convolution. A mask op calls one public view in
-``masks``: the slope view, which returns the mask too, if the tape needs a
-width adjoint.
+descriptor of its own input through a small two-layer bottleneck, and
+each sample gets its own elliptic mask. Either masked layer is two tape
+ops: the mask op, which maps widths to masks (two 0-d widths give one
+K x K mask, two N-vectors give N x K x K masks), then ``conv2d`` with that
+mask as tap scales of the shared kernel. The mask op evaluates the slope
+view ``masks.elliptic_grad_batch``, which returns the masks too, only if
+the tape needs a width adjoint.
 
 After training, a static layer's mask can be folded into the weights,
 yielding a plain convolution with identical outputs and zero mask cost.
@@ -31,7 +30,6 @@ from .tensor import (
     add,
     concat_cols,
     conv2d,
-    conv2d_per_sample,
     dense,
     global_pool,
     mul,
@@ -88,43 +86,21 @@ class Conv2dLayer(_ConvLayer):
         return conv2d(x, self.weight, self.bias, self.stride, self.padding, tape)
 
 
-def _mask_scale(weight: Tensor, sigma: Tensor, tape: GradTape | None) -> Tensor:
-    """Tape op: W' = W * circular_values(sigma, K), mask broadcast over O, C.
-
-    The sigma input is the raw learnable scalar; clamping happens inside
-    the mask evaluation, and the backward pass returns zero for sigma
-    whenever the clamp is active.
-    """
-    if sigma.data.shape != ():
-        raise ValueError(f"sigma must be a scalar tensor, got shape {sigma.data.shape}")
-    k = weight.data.shape[2]
-    raw = float(sigma.data)
-    need = tape is not None and tape.needs(sigma)
-    m, dm = masks.circular_grad_values(raw, k) if need else (masks.circular_values(raw, k), None)
-    out = Tensor(weight.data * m)
-
-    if tape is not None:
-        wd = weight.data
-
-        def backward(g: np.ndarray):
-            return g * m, None if dm is None else np.asarray(np.sum(g * wd * dm))
-
-        tape.record(out, (weight, sigma), backward)
-    return out
-
-
 def _per_sample_masked_weights(
     s1: Tensor, s2: Tensor, kernel_size: int, tape: GradTape | None
 ) -> Tensor:
-    """Tape op: the N x K x K elliptic masks of widths (s1[n], s2[n]) for
-    two N-vectors; its backward maps the masks' adjoint to the widths'."""
+    """Tape op: the elliptic masks of widths s1 and s2, one K x K mask for
+    two 0-d widths or N x K x K masks for two N-vectors; its backward maps
+    the masks' adjoint to the widths'."""
+    shape = s1.data.shape + (kernel_size, kernel_size)
+    w1, w2 = s1.data.reshape(-1), s2.data.reshape(-1)
     if tape is None or not (tape.needs(s1) or tape.needs(s2)):
-        return Tensor(masks.elliptic_values_batch(s1.data, s2.data, kernel_size))
-    m, g1, g2 = masks.elliptic_grad_batch(s1.data, s2.data, kernel_size)
+        return Tensor(masks.elliptic_values_batch(w1, w2, kernel_size).reshape(shape))
+    m, g1, g2 = (a.reshape(shape) for a in masks.elliptic_grad_batch(w1, w2, kernel_size))
     out = Tensor(m)
 
     def backward(dm: np.ndarray):
-        return np.sum(dm * g1, axis=(1, 2)), np.sum(dm * g2, axis=(1, 2))
+        return np.sum(dm * g1, axis=(-2, -1)), np.sum(dm * g2, axis=(-2, -1))
 
     tape.record(out, (s1, s2), backward)
     return out
@@ -153,8 +129,8 @@ class StaticGMConvLayer(_ConvLayer):
     def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
         if self.folded:
             raise RuntimeError("layer was folded; its sigma has been consumed")
-        masked = _mask_scale(self.weight, self.sigma, tape)
-        return conv2d(x, masked, self.bias, self.stride, self.padding, tape)
+        m = _per_sample_masked_weights(self.sigma, self.sigma, self.kernel_size, tape)
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding, tape, mask=m)
 
     def param_items(self):
         return super().param_items() + [("sigma", self.sigma)]
@@ -163,9 +139,9 @@ class StaticGMConvLayer(_ConvLayer):
 def fold_mask(layer: StaticGMConvLayer) -> Conv2dLayer:
     """Bake the current mask into the weights, returning a plain layer.
 
-    The folded weight is the static forward pass's own masked weight
-    (``_mask_scale``), so the folded layer reproduces its outputs bit for
-    bit.
+    The folded weight is W * circular_values(sigma, K), the same products
+    the static forward forms when its mask scales the kernel's taps, so the
+    folded layer reproduces its outputs bit for bit.
     Folding consumes the layer: a second fold (or further forward calls
     on the original) is rejected. Dynamic layers cannot be folded because
     their mask depends on the input.
@@ -176,9 +152,9 @@ def fold_mask(layer: StaticGMConvLayer) -> Conv2dLayer:
         raise TypeError(f"fold_mask expects a static layer, got {type(layer).__name__}")
     if layer.folded:
         raise RuntimeError("layer is already folded")
-    folded_w = _mask_scale(layer.weight, layer.sigma, None)
+    mask = masks.circular_values(float(layer.sigma.data), layer.kernel_size)
     layer.folded = True
-    return Conv2dLayer(folded_w, layer.bias, layer.stride, layer.padding)
+    return Conv2dLayer(Tensor(layer.weight.data * mask), layer.bias, layer.stride, layer.padding)
 
 
 class DynamicSigmaModule:
@@ -281,7 +257,7 @@ class DynamicGMConvLayer(_ConvLayer):
     def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
         s1, s2 = self.sigma_module.predict(x, tape)
         m = _per_sample_masked_weights(s1, s2, self.kernel_size, tape)
-        return conv2d_per_sample(x, self.weight, m, self.bias, self.stride, self.padding, tape)
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding, tape, mask=m)
 
     def param_items(self):
         module = [(f"sigma_module.{n}", t) for n, t in self.sigma_module.param_items()]

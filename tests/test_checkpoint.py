@@ -194,6 +194,19 @@ def test_offsets_must_follow_header_order(tmp_path, edit):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameter_is_a_data_error(tmp_path, bad):
+    """A parameter that is not finite is refused at load, and the error
+    names the first such tensor in header order."""
+    ckpt = checkpoint_from_model(small_model(ConvPolicy("static", "static")))
+    ckpt.params["layer2.sigma"][...] = bad
+    ckpt.params["layer0.weight"].flat[5] = bad
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, str(path))
+    with pytest.raises(DataError, match=r"parameter 'param:layer0\.weight' is not finite"):
+        load_checkpoint(str(path))
+
+
 def test_missing_file():
     with pytest.raises(DataError):
         load_checkpoint("/no/such/file.ckpt")

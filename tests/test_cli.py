@@ -432,6 +432,28 @@ class TestMaskDumpCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command,args", [
+    ("eval", ["--dataset", "synthetic", "--subset", "32"]),
+    ("erf", ["--layer", "2", "--samples", "2"]),
+    ("fold", []),
+    ("mask-dump", []),
+])
+def test_non_finite_parameter_exits_3(trained, tmp_path, capsys, command, args):
+    """A checkpoint with a NaN sigma is refused when it loads, before any
+    subcommand evaluates a mask or a forward, and writes nothing."""
+    ckpt = load_checkpoint(trained["ckpt"])
+    ckpt.params["layer0.sigma"][...] = np.nan
+    path = str(tmp_path / "nan.ckpt")
+    save_checkpoint(ckpt, path)
+    capsys.readouterr()  # drop what the fixture's training run printed
+    out = tmp_path / "out"
+    assert main([command, "--ckpt", path, *args]
+                + ([] if command == "eval" else ["--out", str(out)])) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'param:layer0.sigma' is not finite" in err
+    assert not out.exists()
+
+
 # (path into the header, new value); DELETE removes the key
 HEADER_MUTATIONS = [
     ((), []),

@@ -210,6 +210,9 @@ class TestPrunedProbe:
         np.testing.assert_array_equal(got.values, mean / mean.max())
 
     def test_no_width_slope_or_mask_record(self, monkeypatch):
+        """A probe of a static model evaluates no mask slope and keeps no
+        mask record: its widths do not depend on the input. (A dynamic
+        layer's widths do, so it keeps both.)"""
         def refuse(*_args):
             raise AssertionError("a probe evaluated static mask slopes")
 
@@ -220,10 +223,11 @@ class TestPrunedProbe:
                 kept.extend(fn.__qualname__ for _, _, fn in self.records)
                 super().backward(out, seed)
 
-        monkeypatch.setattr(masks, "circular_grad_values", refuse)
+        monkeypatch.setattr(masks, "elliptic_grad_batch", refuse)
         monkeypatch.setattr(erf_module, "GradTape", SpyTape)
-        estimate_erf(self.masked_model(), 6, 2, np.random.default_rng(23))
-        assert kept and not any(q.startswith("_mask_scale") for q in kept)
+        spec = apply_policy(build_model("cnn-small", 10), ConvPolicy("static", "static"))
+        estimate_erf(Model(spec, np.random.default_rng(21)), 6, 2, np.random.default_rng(23))
+        assert kept and not any(q.startswith("_per_sample_masked_weights") for q in kept)
 
 
 def batch_one_probe_map(model, layer, num_samples, rng=None, images=None):

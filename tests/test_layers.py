@@ -173,6 +173,34 @@ class TestStaticGradients:
         np.testing.assert_allclose(float(layer.sigma.grad), want, rtol=1e-4)
 
 
+    @pytest.mark.parametrize("sigma", [0.7, 1.0, 2.5, 5.0])
+    def test_matches_a_plain_conv_of_the_folded_weight(self, sigma):
+        """The mask scales the kernel's taps, so the forward, dX and db are
+        bit-identical to a plain conv of fold_mask's weight W * M, and dW
+        to that conv's weight adjoint dW' times M. The sigma adjoint,
+        <dM, dM/dsigma> with dM[t] = <dW'[t], W[t]> per tap, matches the
+        full-array sum(dW' * W * dM/dsigma) to 1e-12 relative."""
+        rng = np.random.default_rng(10)
+        layer = make_static(rng, o=4, c=3, k=5, sigma=sigma, stride=2, padding=2)
+        xd, g = rng.normal(size=(3, 3, 11, 11)), rng.normal(size=(3, 4, 6, 6))
+        x, xf = Tensor(xd), Tensor(xd)
+        tape = GradTape()
+        out = layer.forward(x, tape)
+        tape.backward(out, g)
+        db = layer.bias.grad
+        plain = fold_mask(StaticGMConvLayer(layer.weight, layer.bias, sigma, 2, 2))
+        tape = GradTape()
+        want = plain.forward(xf, tape)
+        tape.backward(want, g)
+        assert np.array_equal(out.data, want.data)
+        assert np.array_equal(x.grad, xf.grad) and np.array_equal(db, layer.bias.grad)
+        m, dm = masks.circular_grad_values(sigma, 5)
+        assert np.array_equal(plain.weight.data, layer.weight.data * m)
+        assert np.array_equal(layer.weight.grad, plain.weight.grad * m)
+        full = float(np.sum(plain.weight.grad * layer.weight.data * dm))
+        assert abs(float(layer.sigma.grad) - full) <= 1e-12 * abs(full)
+
+
 class TestDynamicSigmaModule:
     def test_dimensions_for_c64(self):
         mod = DynamicSigmaModule(64, pattern="sigma_pair", rng=np.random.default_rng(0))

@@ -46,20 +46,20 @@ CONV_GEOMETRIES = [
 ]
 
 
-def conv_grads_match_fd(op, args, s, p, rng):
-    """Tape adjoints of every tensor input of `op` against central
-    differences; `args` are its positional inputs, None for no bias."""
-    out_shape = op(*args, stride=s, padding=p).data.shape
+def conv_grads_match_fd(x, w, b, m, s, p, rng):
+    """Tape adjoints of every tensor input of `conv2d` against central
+    differences; b and the mask m may be None."""
+    out_shape = conv2d(x, w, b, s, p, mask=m).data.shape
     r = rng.normal(size=out_shape)
 
     def loss_value(_arr=None):
-        return float(np.sum(op(*args, stride=s, padding=p).data * r))
+        return float(np.sum(conv2d(x, w, b, s, p, mask=m).data * r))
 
     tape = GradTape()
-    out = op(*args, stride=s, padding=p, tape=tape)
+    out = conv2d(x, w, b, s, p, tape, mask=m)
     loss = tsum(mul(out, Tensor(r), tape), tape)
     tape.backward(loss)
-    for t in args:
+    for t in (x, w, b, m):
         if t is not None:
             want = num_grad(loss_value, t.data, h=1e-5)
             np.testing.assert_allclose(t.grad, want, rtol=1e-4, atol=1e-6)
@@ -155,18 +155,20 @@ class TestConvGrad:
             x = Tensor(rng.normal(size=(n, c, h, wdt)))
             w = Tensor(rng.normal(size=(o, c, k, k)))
             for b in (Tensor(rng.normal(size=o)), None):
-                conv_grads_match_fd(conv2d, (x, w, b), s, p, rng)
+                conv_grads_match_fd(x, w, b, None, s, p, rng)
 
     def test_per_sample_grads(self):
-        """The same check for per-sample masked kernels, the mask's adjoint
-        included, over the oracle's geometries."""
+        """The same check for masked kernels, the mask's adjoint included,
+        over the oracle's geometries: an N x K x K mask per sample, and one
+        K x K mask shared by the batch."""
         rng = np.random.default_rng(4)
         for n, c, h, wdt, o, k, s, p in CONV_GEOMETRIES:
             x = Tensor(rng.normal(size=(n, c, h, wdt)))
             w = Tensor(rng.normal(size=(o, c, k, k)))
-            m = Tensor(rng.uniform(0.2, 1.0, size=(n, k, k)))
-            for b in (Tensor(rng.normal(size=o)), None):
-                conv_grads_match_fd(conv2d_per_sample, (x, w, m, b), s, p, rng)
+            for shape in ((n, k, k), (k, k)):
+                m = Tensor(rng.uniform(0.2, 1.0, size=shape))
+                for b in (Tensor(rng.normal(size=o)), None):
+                    conv_grads_match_fd(x, w, b, m, s, p, rng)
 
 
 class TestPerSampleConv:
@@ -180,25 +182,28 @@ class TestPerSampleConv:
             m = rng.uniform(0.0, 1.0, size=(n, k, k))
             for b in (rng.normal(size=o), None):
                 bt = None if b is None else Tensor(b)
-                fast = conv2d_per_sample(Tensor(x), Tensor(w), Tensor(m), bt, stride=s, padding=p)
+                fast = conv2d(Tensor(x), Tensor(w), bt, s, p, mask=Tensor(m))
                 slow = conv2d_per_sample_reference(x, w[None] * m[:, None, None], b, s, p)
                 assert np.max(np.abs(fast.data - slow)) < 1e-12
+                wrapped = conv2d_per_sample(Tensor(x), Tensor(w), Tensor(m), bt, s, p)
+                assert np.array_equal(wrapped.data, fast.data)
 
     def test_identical_weights_match_plain_conv(self):
         """Unit masks give every sample the shared kernel itself."""
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 2, 6, 6))
         w = rng.normal(size=(4, 2, 3, 3))
-        a = conv2d_per_sample(Tensor(x), Tensor(w), Tensor(np.ones((3, 3, 3))), padding=1).data
+        a = conv2d(Tensor(x), Tensor(w), padding=1, mask=Tensor(np.ones((3, 3, 3)))).data
         c = conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
         np.testing.assert_allclose(a, c, rtol=0, atol=1e-13)
 
     def test_batch_mismatch_rejected(self):
-        """A mask per sample, and one value per kernel tap."""
+        """A mask shared by the batch or one per sample, and one value per
+        kernel tap: a one-sample mask does not broadcast over N = 2."""
         x, w = Tensor(np.zeros((2, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3)))
-        for shape in ((3, 3, 3), (2, 2, 2), (2, 9), (1, 3, 3)):
+        for shape in ((3, 3, 3), (2, 2, 2), (2, 9), (1, 3, 3), (3,), (2, 3), (9,)):
             with pytest.raises(ValueError, match="N x K x K"):
-                conv2d_per_sample(x, w, Tensor(np.zeros(shape)))
+                conv2d(x, w, mask=Tensor(np.zeros(shape)))
 
 
 def test_conv_builds_no_column_matrix():
@@ -279,23 +284,26 @@ def test_conv_working_set_stays_chunk_sized():
 @st.composite
 def conv_cases(draw, max_batch=3):
     """A random conv geometry (H != W allowed; K even or odd, up to the
-    padded extent) and a seed for its arrays."""
+    padded extent), its mask kind (None, "shared" or "per_sample"), whether
+    it has a bias, and a seed for its arrays."""
     n, c, o = draw(st.integers(1, max_batch)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     h, wdt = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     s, p = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     k = draw(st.integers(1, min(5, h + 2 * p, wdt + 2 * p)))
     geometry = (n, c, h, wdt, o, k, s, p)
-    return geometry, draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    mask = draw(st.sampled_from((None, "shared", "per_sample")))
+    return geometry, mask, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
 def conv_arrays(case):
-    """x, w, the N x K x K mask (None for a shared kernel) and the bias of
-    a `conv_cases` draw."""
-    (n, c, h, wdt, o, k, s, p), masked, has_bias, seed = case
+    """x, w, the mask (K x K shared, N x K x K per sample, or None) and the
+    bias of a `conv_cases` draw."""
+    (n, c, h, wdt, o, k, s, p), mask, has_bias, seed = case
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, c, h, wdt))
     w = rng.normal(size=(o, c, k, k))
-    m = rng.uniform(0.0, 1.0, size=(n, k, k)) if masked else None
+    shape = {None: None, "shared": (k, k), "per_sample": (n, k, k)}[mask]
+    m = None if shape is None else rng.uniform(0.0, 1.0, size=shape)
     b = rng.normal(size=o) if has_bias else None
     return rng, x, w, m, b
 
@@ -304,15 +312,17 @@ def conv_arrays(case):
 def test_batch_chunks_change_no_value(case):
     """Forward and every (need_x, need_w, need_m, need_b) gradient are
     bit-identical whether the batch runs as one chunk, as one-sample
-    chunks, or as chunks of 2 or 3 samples with a ragged last one. A shared
-    kernel has no mask, so need_m stays False for it."""
-    (n, c, h, wdt, o, k, s, p), masked, _, _ = case
+    chunks, or as chunks of 2 or 3 samples with a ragged last one; so is
+    the dm of a mask shared by the batch, which sums over every chunk. An
+    unmasked kernel has no mask, so need_m stays False for it."""
+    (n, c, h, wdt, o, k, s, p), _, _, _ = case
     rng, x, w, m, b = conv_arrays(case)
     ho, wo = (h + 2 * p - k) // s + 1, (wdt + 2 * p - k) // s + 1
     g = rng.normal(size=(n, o, ho, wo))
     hg, wg, *_, chunk = tensor._conv_plan(x.shape, o, k, s, p, ho, wo)
     assert chunk == n
-    needs = [need for need in itertools.product((False, True), repeat=4) if masked or not need[2]]
+    needs = [need for need in itertools.product((False, True), repeat=4)
+             if m is not None or not need[2]]
 
     def run():
         grads = [tensor._conv_grads(g, x, w, m, s, p, *need) for need in needs]
@@ -332,24 +342,30 @@ def test_batch_chunks_change_no_value(case):
 
 @given(conv_cases())
 def test_random_conv_geometry_matches_the_oracle(case):
-    """Forward against the direct loop to 1e-12, the masked conv against
-    the loop over the per-sample kernels w * m[n]; backward through the
-    adjoint identities <g, conv(x, w, m)> = <dx, x> = <dw, w> = <dm, m>
-    to 1e-12 of <|g|, conv(|x|, |w|, |m|)>, which bounds every term of the
-    four sums, and db = g.sum((0, 2, 3)). Shared and masked kernels, with
-    and without a bias, under every set of inputs the tape needs: exactly
-    the needed inputs get an adjoint."""
+    """Forward against the direct loop to 1e-12: an unmasked kernel
+    against conv(x, w), a shared mask against conv(x, w * m), and a
+    per-sample mask against the loop over the kernels w * m[n]; backward
+    through the adjoint identities <g, conv(x, w, m)> = <dx, x> = <dw, w> =
+    <dm, m> to 1e-12 of <|g|, conv(|x|, |w|, |m|)>, which bounds every term
+    of the four sums, and db = g.sum((0, 2, 3)). Every mask kind, with and
+    without a bias, under every set of inputs the tape needs: exactly the
+    needed inputs get an adjoint."""
     rng, x, w, m, b = conv_arrays(case)
     s, p = case[0][6:]
-    if m is None:
-        op, ref, wb, wabs = conv2d, conv2d_reference, w, np.abs(w)
+    if m is None or m.ndim == 2:
+        ref, wb = conv2d_reference, (w if m is None else w * m)
+        wabs = np.abs(wb)
     else:
-        op, ref = conv2d_per_sample, conv2d_per_sample_reference
+        ref = conv2d_per_sample_reference
         wb, wabs = w[None] * m[:, None, None], np.abs(w)[None] * m[:, None, None]
-    leaves = [Tensor(a) for a in (x, w, m, b) if a is not None]
-    args = leaves if b is not None else leaves + [None]
+    xt, wt, mt, bt = (None if a is None else Tensor(a) for a in (x, w, m, b))
+    leaves = [t for t in (xt, wt, mt, bt) if t is not None]
+
+    def op(tape=None):
+        return conv2d(xt, wt, bt, s, p, tape, mask=mt)
+
     want = ref(x, wb, b, stride=s, padding=p)
-    out = op(*args, stride=s, padding=p).data
+    out = op().data
     assert np.max(np.abs(out - want)) < 1e-12
 
     g = rng.normal(size=out.shape)
@@ -361,12 +377,12 @@ def test_random_conv_geometry_matches_the_oracle(case):
             for t in leaves:
                 t.grad = None
             tape = GradTape(wrt=wrt)
-            y = op(*args, stride=s, padding=p, tape=tape)
+            y = op(tape)
             tape.backward(y, seed=g)
             assert np.array_equal(y.data, out)
             assert [t.grad is not None for t in leaves] == [t in wrt for t in leaves]
             for t in wrt:
-                if b is not None and t is leaves[-1]:
+                if t is bt:
                     np.testing.assert_allclose(t.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
                 else:
                     assert abs(float(np.sum(t.grad * t.data)) - lhs) <= 1e-12 * scale
@@ -838,8 +854,9 @@ def taped_calls():
     s = Tensor(rng.uniform(0.5, 2.0, size=2))
     return {
         ("conv2d", None): lambda t: conv2d(x, w, b, 1, 1, t),
-        ("conv2d_per_sample", None): lambda t: conv2d_per_sample(
-            x, w, Tensor(rng.uniform(size=(2, 3, 3))), b, 1, 1, t),
+        ("conv2d", "shared"): lambda t: conv2d(x, w, b, 1, 1, t, Tensor(rng.uniform(size=(3, 3)))),
+        ("conv2d", "per_sample"): lambda t: conv2d(
+            x, w, b, 1, 1, t, Tensor(rng.uniform(size=(2, 3, 3)))),
         ("global_pool", "max"): lambda t: global_pool(x, "max", t),
         ("global_pool", "avg"): lambda t: global_pool(x, "avg", t),
         ("dense", None): lambda t: dense(z, Tensor(rng.normal(size=(4, 3))), b, t),
@@ -853,18 +870,18 @@ def taped_calls():
         ("reshape", None): lambda t: reshape(z, (3, 2), t),
         ("tsum", None): lambda t: tsum(z, t),
         ("downsample_pad", None): lambda t: downsample_pad(x, 4, t),
-        ("_mask_scale", None): lambda t: layers._mask_scale(w, Tensor(np.float64(1.5)), t),
         ("_per_sample_masked_weights", None): lambda t: layers._per_sample_masked_weights(
             s, s, 3, t),
     }
 
 
+OP_MODES = {"global_pool": ("max", "avg"), "conv2d": (None, "shared", "per_sample")}
 NAMED_OPS = [
     (tensor, name, mode)
     for name in tensor.__all__
     if "tape" in inspect.signature(getattr(tensor, name)).parameters
-    for mode in (("max", "avg") if name == "global_pool" else (None,))
-] + [(layers, "_mask_scale", None), (layers, "_per_sample_masked_weights", None)]
+    for mode in OP_MODES.get(name, (None,))
+] + [(layers, "_per_sample_masked_weights", None)]
 
 
 @pytest.mark.parametrize(
