@@ -166,8 +166,6 @@ def cmd_mask_dump(args) -> int:
 
 
 def cmd_mask_gen(args) -> int:
-    if args.k < 1:
-        raise ConfigError("--k must be >= 1")
     if args.sigma2 is None:
         mask = circular_mask(args.sigma, args.k)
     else:

@@ -23,17 +23,21 @@ CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
 
 DATASET_IDS = ("cifar10-bin", "cifar100-bin", "synthetic")
+_CIFAR_SHAPE = (3, 32, 32)
 
 
 @dataclass(frozen=True)
 class DatasetSource:
-    """Where data comes from and how to prepare it.
+    """Where data comes from and how to prepare it. Every rule on these
+    fields is checked when the source is built.
 
     `normalization`, when set, is (mean, std) per channel applied after
-    the [0, 1] scaling. `num_samples` caps a file dataset at its first N
-    records (0 keeps every record) and sizes the synthetic one (0 means
-    1000). The synthetic generator ignores `root` and uses the seed/shape
-    fields instead; file readers ignore those fields.
+    the [0, 1] scaling: finite means and finite stds above 0, one per
+    channel of `image_shape`, else DataError. A CIFAR id takes only the
+    3 x 32 x 32 `image_shape` its files hold. `num_samples` caps a file
+    dataset at its first N records (0 keeps every record) and sizes the
+    synthetic one (0 means 1000). The synthetic generator ignores `root`;
+    file readers ignore `num_classes` and `seed`.
     """
 
     id: str
@@ -41,9 +45,8 @@ class DatasetSource:
     split: str = "train"
     normalization: tuple[tuple[float, ...], tuple[float, ...]] | None = None
     num_samples: int = 0
-    # synthetic-only knobs
     num_classes: int = 10
-    image_shape: tuple[int, int, int] = (3, 32, 32)
+    image_shape: tuple[int, int, int] = _CIFAR_SHAPE
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -51,10 +54,24 @@ class DatasetSource:
             raise ValueError(f"unknown dataset id {self.id!r}, expected one of {DATASET_IDS}")
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be train or test, got {self.split!r}")
+        if self.id != "synthetic" and self.image_shape != _CIFAR_SHAPE:
+            raise ValueError(f"{self.id} holds {_CIFAR_SHAPE} images, not {self.image_shape}")
         if self.num_samples < 0:
             raise ValueError("num_samples must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.normalization is not None:
+            mean, std = (np.asarray(v, dtype=np.float64) for v in self.normalization)
+            c = self.image_shape[0]
+            if mean.shape != (c,) or std.shape != (c,):
+                raise DataError(
+                    f"normalization stats need one entry per channel "
+                    f"({c}), got {mean.shape} and {std.shape}"
+                )
+            if not np.all(np.isfinite(mean)):
+                raise DataError("normalization means must be finite")
+            if not np.all(np.isfinite(std) & (std > 0)):
+                raise DataError("normalization stds must be finite and positive")
 
 
 def load_dataset(src: DatasetSource) -> tuple[np.ndarray, np.ndarray]:
@@ -83,19 +100,8 @@ def load_dataset(src: DatasetSource) -> tuple[np.ndarray, np.ndarray]:
         images = images[: src.num_samples]
         labels = labels[: src.num_samples]
     if src.normalization is not None:
-        mean, std = src.normalization
-        mean = np.asarray(mean, dtype=np.float64)
-        std = np.asarray(std, dtype=np.float64)
-        if mean.shape != (images.shape[1],) or std.shape != (images.shape[1],):
-            raise DataError(
-                f"normalization stats need one entry per channel "
-                f"({images.shape[1]}), got {mean.shape} and {std.shape}"
-            )
-        if not np.all(np.isfinite(mean)):
-            raise DataError("normalization means must be finite")
-        if not np.all(np.isfinite(std) & (std > 0)):
-            raise DataError("normalization stds must be finite and positive")
-        images = (images - mean[:, None, None]) / std[:, None, None]
+        mean, std = (np.asarray(v, dtype=np.float64)[:, None, None] for v in src.normalization)
+        images = (images - mean) / std
     return images, labels.astype(np.int64)
 
 
@@ -127,7 +133,7 @@ def read_cifar_file(
             f"{path}: record {bad} has label {labels[bad]} outside [0, {num_classes}) "
             f"(byte offset {bad * record})"
         )
-    images = records[:, label_bytes:].reshape(-1, 3, 32, 32)
+    images = records[:, label_bytes:].reshape(-1, *_CIFAR_SHAPE)
     return images, labels
 
 

@@ -25,7 +25,6 @@ the widest conv output and its adjoint within the conv's cache block.
 from __future__ import annotations
 
 import json
-import operator
 import os
 from dataclasses import dataclass
 
@@ -56,16 +55,6 @@ def _probe_batch(spec) -> int:
     return max(1, tensor._BLOCK_BYTES // (2 * 8 * max(widest, 1)))
 
 
-def _count(name: str, value) -> int:
-    """`value` as an int; a float, a bool or a string raises ValueError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)  # not int(): 2.5 is no index
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def estimate_erf(
     model,
     layer_index: int,
@@ -85,12 +74,10 @@ def estimate_erf(
     is not finite (a model whose outputs overflow) raises
     FloatingPointError.
     """
-    layer_index = _count("layer index", layer_index)
-    num_samples = _count("num_samples", num_samples)
-    if not 0 <= layer_index < len(model.modules):
+    layer_index = masks.integer_arg("layer index", layer_index, 0)
+    num_samples = masks.integer_arg("num_samples", num_samples, 1)
+    if layer_index >= len(model.modules):
         raise ValueError(f"layer index {layer_index} out of range")
-    if num_samples < 1:
-        raise ValueError("need at least one probe sample")
     if (rng is None) == (images is None):
         raise ValueError("estimate_erf needs exactly one probe source: rng or images")
     c, h, w = model.spec.input_shape

@@ -28,6 +28,7 @@ from .tensor import (
     GradTape,
     Tensor,
     add,
+    check_kernel,
     concat_cols,
     conv2d,
     dense,
@@ -46,6 +47,16 @@ G_FLOOR = 0.1
 REDUCTION_RATIO = 4.0 / 3.0
 
 
+def check_mask_start(sigma_init: float, pattern: str, dynamic: bool) -> None:
+    """A masked layer's start: `sigma_init` above 0, or above G_FLOOR (the
+    floor of every predicted width) when dynamic; a `pattern` of PATTERNS."""
+    floor = G_FLOOR if dynamic else 0.0
+    if sigma_init <= floor:
+        raise ValueError(f"sigma_init must be a number > {floor}, got {sigma_init}")
+    if pattern not in PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}, expected one of {PATTERNS}")
+
+
 def softplus_inverse(y: float) -> float:
     """Solve softplus(t) = y for t > 0 targets: log(expm1(y))."""
     if y <= 0:
@@ -58,14 +69,7 @@ class _ConvLayer:
     filter, stride and padding."""
 
     def __init__(self, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0):
-        if weight.data.ndim != 4 or weight.data.shape[2] != weight.data.shape[3]:
-            raise ValueError(f"weight must be O x C x K x K, got {weight.data.shape}")
-        if bias.data.shape != (weight.data.shape[0],):
-            raise ValueError(
-                f"bias shape {bias.data.shape} does not match {weight.data.shape[0]} filters"
-            )
-        if stride < 1 or padding < 0:
-            raise ValueError(f"bad geometry: stride={stride}, padding={padding}")
+        check_kernel(weight.data, bias.data, stride, padding)
         self.weight = weight
         self.bias = bias
         self.stride = stride
@@ -180,12 +184,9 @@ class DynamicSigmaModule:
         pattern: str = "sigma_pair",
         sigma_init: float = 5.0,
     ):
-        if pattern not in PATTERNS:
-            raise ValueError(f"unknown pattern {pattern!r}, expected one of {PATTERNS}")
+        check_mask_start(sigma_init, pattern, dynamic=True)
         if in_channels < 1:
             raise ValueError(f"in_channels must be positive, got {in_channels}")
-        if sigma_init <= G_FLOOR:
-            raise ValueError(f"sigma_init must exceed {G_FLOOR}, got {sigma_init}")
         self.in_channels = in_channels
         self.pattern = pattern
         # 2C / REDUCTION_RATIO = 1.5 C, so C >= 1 leaves at least one unit

@@ -67,14 +67,21 @@ class GaussianMask:
         return self.values.shape[0]
 
 
+def integer_arg(name: str, value, low: int) -> int:
+    """`value` as an int of at least `low`; a float, a bool, a string or a
+    smaller int raises ValueError."""
+    try:
+        k = operator.index(value)  # not int(): 3.9 is no integer
+    except TypeError:
+        k = None
+    if k is None or k < low or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return k
+
+
 def _offsets(kernel_size: int) -> np.ndarray:
     """1D cell offsets from the center at (K-1)/2; half-integers for even K."""
-    try:
-        k = operator.index(kernel_size)  # not int(): 3.9 is no kernel size
-    except TypeError:
-        k = 0  # rejected below, with every size under 1
-    if k < 1 or isinstance(kernel_size, bool):
-        raise ValueError(f"kernel_size must be an integer >= 1, got {kernel_size!r}")
+    k = integer_arg("kernel_size", kernel_size, 1)
     return np.arange(k, dtype=np.float64) - (k - 1) / 2.0
 
 

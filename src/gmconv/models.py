@@ -9,8 +9,10 @@ runtime Model with He-initialized parameters. One spec-level rewrite,
 ``_map_convs``, reaches every conv descriptor (block convs included) for
 both policy application and folding.
 
-Each structural fact is stated once. A LayerSpec checks its own fields;
-one walk over a spec (``_walk_spec``) checks that the layers compose and
+Each structural fact is stated once, by the module that owns it. A
+LayerSpec checks its own fields, a masked one's start with the layers'
+``check_mask_start``; one walk over a spec (``_walk_spec``) checks that
+the layers compose, each conv's extent by ``tensor.conv_extent``, and
 yields every conv and dense descriptor with its output size; a ModelSpec
 runs it to the end when built, and ``count_flops`` sums over it.
 ``count_params`` is the parameter size of the Model a spec builds, so the
@@ -38,15 +40,14 @@ from functools import cache, partial
 import numpy as np
 
 from .layers import (
-    G_FLOOR,
-    PATTERNS,
     Conv2dLayer,
     DynamicGMConvLayer,
     DynamicSigmaModule,
     StaticGMConvLayer,
+    check_mask_start,
     fold_mask,
 )
-from .tensor import GradTape, Tensor, add, dense, downsample_pad, global_pool, relu
+from .tensor import GradTape, Tensor, add, conv_extent, dense, downsample_pad, global_pool, relu
 
 CONV_OPS = ("conv", "gmconv-static", "gmconv-dynamic")
 ALL_OPS = CONV_OPS + ("relu", "pool", "dense", "block")
@@ -99,20 +100,14 @@ class LayerSpec:
             raise ValueError(f"unknown role {self.role!r}")
         if len(self.inner) != (2 if self.op == "block" else 0):
             raise ValueError("a block holds exactly two conv descriptors; no other op holds any")
+        if self.op in ("gmconv-static", "gmconv-dynamic"):
+            check_mask_start(self.sigma_init, self.pattern, self.op == "gmconv-dynamic")
         for name in _LAYER_FIELDS[self.op]:
             value = getattr(self, name)
-            if name == "sigma_init":
-                # a dynamic layer's predicted widths never fall below G_FLOOR
-                floor = G_FLOOR if self.op == "gmconv-dynamic" else 0.0
-                if value <= floor:
-                    raise ValueError(f"{self.op} sigma_init must be a number > {floor}, got {value}")
-            elif name == "pattern":
-                if value not in PATTERNS:
-                    raise ValueError(f"unknown pattern {value!r}, expected one of {PATTERNS}")
-            elif name == "pool_mode":
+            if name == "pool_mode":
                 if value not in ("avg", "max"):
                     raise ValueError(f"unknown pool mode {value!r}")
-            else:
+            elif name not in ("sigma_init", "pattern"):
                 low = 0 if name == "padding" else 1
                 if value < low:
                     raise ValueError(f"{self.op} {name} must be >= {low}, got {value}")
@@ -187,21 +182,9 @@ class ConvPolicy:
         check_field_types(self)
         if self.stem_mode not in MODES or self.body_mode not in MODES:
             raise ValueError(f"modes must be one of {MODES}")
-        # the same bound as the gmconv-dynamic layers the policy would make
-        floor = G_FLOOR if "dynamic" in (self.stem_mode, self.body_mode) else 0.0
-        if self.sigma_init <= floor:
-            raise ValueError(f"sigma_init must be a number > {floor}, got {self.sigma_init}")
-        if self.pattern not in PATTERNS:
-            raise ValueError(f"unknown pattern {self.pattern!r}, expected one of {PATTERNS}")
-
-
-def _conv_out(hw: tuple[int, int], k: int, stride: int, padding: int) -> tuple[int, int]:
-    h, w = hw
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (w + 2 * padding - k) // stride + 1
-    if ho < 1 or wo < 1:
-        raise ValueError(f"layer collapses spatial extent: {hw} with k={k}")
-    return ho, wo
+        # the start of the masked layers the policy would make
+        dynamic = "dynamic" in (self.stem_mode, self.body_mode)
+        check_mask_start(self.sigma_init, self.pattern, dynamic)
 
 
 def _walk_spec(spec: ModelSpec):
@@ -252,7 +235,7 @@ def _walk_spec(spec: ModelSpec):
         for conv in layer.inner if layer.op == "block" else (layer,):
             if conv.in_channels != c:
                 raise ValueError(f"{where}: expects {conv.in_channels} channels, has {c}")
-            spatial = _conv_out(spatial, conv.kernel_size, conv.stride, conv.padding)
+            spatial = conv_extent(*spatial, conv.kernel_size, conv.stride, conv.padding)
             c = conv.out_channels
             yield conv, spatial[0] * spatial[1]
         if layer.op == "block" and spatial != shortcut:

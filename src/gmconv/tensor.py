@@ -145,42 +145,46 @@ class GradTape:
             if g is None:
                 continue
             for t, ig in zip(rec_inputs, backward_fn(g)):
-                # out of place: `add` hands one array to both of its inputs
+                # out of place, as `add` hands one array to both of its inputs;
+                # asarray, as numpy makes a 0-d sum a scalar, not an array
                 if ig is not None and self.needs(t):
-                    t.grad = ig if t.grad is None else t.grad + ig
+                    t.grad = np.asarray(ig if t.grad is None else t.grad + ig)
 
 
 # ---------------------------------------------------------------------------
 # convolution
 
 
-def _conv_checks(x: np.ndarray, w: np.ndarray, b, stride: int, padding: int):
-    if x.ndim != 4:
-        raise ValueError(f"conv2d input must be N x C x H x W, got shape {x.shape}")
-    if w.ndim != 4:
-        raise ValueError(f"conv2d weight must be O x C x K x K, got shape {w.shape}")
-    if 0 in x.shape or 0 in w.shape:
-        raise ValueError("conv2d rejects zero-extent dimensions")
-    n, c, h, wdt = x.shape
-    o, c2, k, k2 = w.shape
-    if k != k2:
-        raise ValueError(f"conv2d kernels must be square, got {k} x {k2}")
-    if c != c2:
-        raise ValueError(f"channel mismatch: input has {c}, weight expects {c2}")
+def check_kernel(w: np.ndarray, b: np.ndarray | None, stride: int, padding: int) -> None:
+    """The rule on a conv's own parameters: a non-empty square O x C x K x K
+    weight, an O-vector bias or None, stride >= 1 and padding >= 0."""
+    if w.ndim != 4 or 0 in w.shape or w.shape[2] != w.shape[3]:
+        raise ValueError(f"conv weight must be a non-empty O x C x K x K, got shape {w.shape}")
+    if b is not None and b.shape != (w.shape[0],):
+        raise ValueError(f"bias shape {b.shape} does not match {w.shape[0]} output channels")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
-    if k > h + 2 * padding or k > wdt + 2 * padding:
-        raise ValueError(
-            f"kernel {k} exceeds padded input {h + 2 * padding} x {wdt + 2 * padding}"
-        )
-    if b is not None:
-        if b.shape != (o,):
-            raise ValueError(f"bias shape {b.shape} does not match {o} output channels")
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (wdt + 2 * padding - k) // stride + 1
-    return n, c, h, wdt, o, k, ho, wo
+
+
+def conv_extent(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int, int]:
+    """(Ho, Wo) of a K x K conv over H x W, each floor((H + 2p - K) / stride)
+    + 1; a kernel larger than the padded input raises ValueError."""
+    if k > h + 2 * padding or k > w + 2 * padding:
+        raise ValueError(f"kernel {k} exceeds padded input {h + 2 * padding} x {w + 2 * padding}")
+    return (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+
+
+def _conv_checks(x: np.ndarray, w: np.ndarray, b, stride: int, padding: int):
+    if x.ndim != 4 or 0 in x.shape:
+        raise ValueError(f"conv2d input must be a non-empty N x C x H x W, got shape {x.shape}")
+    check_kernel(w, b, stride, padding)
+    n, c, h, wdt = x.shape
+    o, c2, k, _ = w.shape
+    if c != c2:
+        raise ValueError(f"channel mismatch: input has {c}, weight expects {c2}")
+    return n, c, h, wdt, o, k, *conv_extent(h, wdt, k, stride, padding)
 
 
 # Bytes of per-sample conv state (output accumulator and phase grids) that

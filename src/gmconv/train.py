@@ -27,7 +27,7 @@ from .checkpoint import (
     restore_model,
     save_checkpoint,
 )
-from .data import DATASET_IDS, DatasetSource, augment_batch, load_dataset
+from .data import DataError, DatasetSource, augment_batch, load_dataset
 from .masks import clamp_sigma
 from .models import (
     _NETS,
@@ -82,8 +82,6 @@ class TrainConfig:
         check_field_types(self, ConfigError)
         if self.model not in _NETS:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {tuple(_NETS)}")
-        if self.dataset not in DATASET_IDS:
-            raise ConfigError(f"unknown dataset {self.dataset!r}, expected one of {DATASET_IDS}")
         if self.augment not in AUGMENT_MODES:
             raise ConfigError(f"augment must be one of {AUGMENT_MODES}, got {self.augment!r}")
         if self.epochs < 1:
@@ -102,23 +100,19 @@ class TrainConfig:
             raise ConfigError("width must be > 0")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.train_subset < 0 or self.test_subset < 0:
-            raise ConfigError("subset sizes must be >= 0")
-        if self.dataset == "synthetic" and (self.train_subset < 1 or self.test_subset < 1):
-            raise ConfigError("synthetic dataset needs positive subset sizes")
         ms = self.milestones
         if any(ms[i] >= ms[i + 1] for i in range(len(ms) - 1)):
             raise ConfigError(f"milestones must be strictly increasing, got {ms}")
         if any(m < 1 or m >= self.epochs for m in ms):
             raise ConfigError(f"milestones must lie in [1, epochs), got {ms}")
-        if self.normalization is not None and not all(s > 0 for s in self.normalization[1]):
-            raise ConfigError(f"normalization stds must be > 0, got {self.normalization[1]}")
-
-
-_CONFIG_KEYS = tuple(f.name for f in fields(TrainConfig))
-_POLICY_KEYS = tuple(f.name for f in fields(ConvPolicy))
+        # the data source owns the dataset id, seed, subset and stats rules
+        try:
+            for split in ("train", "test"):
+                split_source(self, split)
+        except (ValueError, DataError) as err:
+            raise ConfigError(f"{split} split: {err}") from err
+        if self.dataset == "synthetic" and (self.train_subset < 1 or self.test_subset < 1):
+            raise ConfigError("synthetic dataset needs positive subset sizes")
 
 
 def config_to_json(config: TrainConfig) -> str:
@@ -130,21 +124,19 @@ def config_from_json(text: str) -> TrainConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}; known keys are {sorted(_CONFIG_KEYS)}")
 
-    kwargs = {key: _tuples(value) for key, value in raw.items()}
+    def known(obj, cls, what: str) -> dict:
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{what} must be a JSON object")
+        names = sorted(f.name for f in fields(cls))
+        unknown = sorted(set(obj) - set(names))
+        if unknown:
+            raise ConfigError(f"unknown {what} keys {unknown}; known keys are {names}")
+        return obj
+
+    kwargs = {key: _tuples(value) for key, value in known(raw, TrainConfig, "config").items()}
     if "policy" in kwargs:
-        pol = kwargs["policy"]
-        if not isinstance(pol, dict):
-            raise ConfigError("policy must be a JSON object")
-        bad = sorted(set(pol) - set(_POLICY_KEYS))
-        if bad:
-            raise ConfigError(f"unknown policy keys {bad}; known keys are {list(_POLICY_KEYS)}")
-        kwargs["policy"] = ConvPolicy(**pol)
+        kwargs["policy"] = ConvPolicy(**known(kwargs["policy"], ConvPolicy, "policy"))
     return TrainConfig(**kwargs)
 
 
@@ -200,11 +192,7 @@ def effective_lr(config: TrainConfig, epoch: int) -> float:
 def split_source(config: TrainConfig, split: str) -> DatasetSource:
     """The split's source at ``INPUT_SHAPE``, the input of every zoo net;
     its count is the subset cap of a file dataset and the sample count of
-    the synthetic one. Normalization stats must match its channels."""
-    if config.normalization is not None:
-        (mean, std), c = config.normalization, INPUT_SHAPE[0]
-        if len(mean) != c or len(std) != c:
-            raise ConfigError(f"normalization needs {c} means and {c} stds, got {mean}, {std}")
+    the synthetic one."""
     return DatasetSource(
         config.dataset,
         root=config.data_root,

@@ -128,7 +128,8 @@ class TestUsageErrors:
 class TestTrainCommand:
     def test_writes_metrics_and_checkpoint(self, trained, capsys):
         out = trained["out"]
-        metrics = open(out + "/metrics.csv").read()
+        with open(out + "/metrics.csv") as fh:
+            metrics = fh.read()
         assert metrics.startswith("epoch,train_loss,test_acc,sigma_0")
         assert load_checkpoint(trained["ckpt"]).epoch == 1
 
@@ -270,7 +271,8 @@ class TestEvalCommand:
         printed = capsys.readouterr().out.strip()
         assert printed.startswith("accuracy ")
         acc = float(printed.split()[1])
-        last_row = open(trained["out"] + "/metrics.csv").read().strip().split("\n")[-1]
+        with open(trained["out"] + "/metrics.csv") as fh:
+            last_row = fh.read().strip().split("\n")[-1]
         assert acc == float(last_row.split(",")[2])
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):

@@ -142,6 +142,18 @@ class TestSynthetic:
             DatasetSource("synthetic", split="val")
         with pytest.raises(ValueError):
             DatasetSource("synthetic", num_samples=-1)
+        for stats in [
+            ((0.5, 0.5), (0.25, 0.25)),  # two stats for three channels
+            ((0.5, 0.5, 0.5), (0.25, 0.0, 0.25)),
+            ((0.5, np.nan, 0.5), (0.25, 0.25, 0.25)),
+            ((0.5, 0.5, 0.5), (0.25, np.nan, 0.25)),
+        ]:
+            with pytest.raises(DataError, match="normalization"):
+                DatasetSource("synthetic", normalization=stats)
+        # a one-channel source takes one stat per channel
+        DatasetSource("synthetic", normalization=((0.5,), (0.25,)), image_shape=(1, 8, 8))
+        with pytest.raises(ValueError, match="images"):
+            DatasetSource("cifar10-bin", image_shape=(1, 32, 32))
 
 
 class TestAugment:

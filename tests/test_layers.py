@@ -9,6 +9,7 @@ import pytest
 
 from gmconv import masks, tensor
 from gmconv.layers import (
+    G_FLOOR,
     Conv2dLayer,
     DynamicGMConvLayer,
     DynamicSigmaModule,
@@ -16,7 +17,7 @@ from gmconv.layers import (
     fold_mask,
     softplus_inverse,
 )
-from gmconv.models import ConvPolicy, Model, apply_policy, build_model
+from gmconv.models import ConvPolicy, LayerSpec, Model, apply_policy, build_model
 from gmconv.tensor import (
     GradTape,
     Tensor,
@@ -272,6 +273,46 @@ class TestDynamicSigmaModule:
         mod = DynamicSigmaModule(3, rng=rng)
         with pytest.raises(ValueError):
             mod.predict(Tensor(np.zeros((1, 4, 5, 5))))
+
+
+def refusal(make) -> str:
+    with pytest.raises(ValueError) as err:
+        make()
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "sigma_init, pattern", [(G_FLOOR, "sigma_pair"), (5.0, "sigmas")], ids=["floor", "pattern"]
+)
+def test_every_boundary_refuses_a_mask_start_alike(sigma_init, pattern):
+    """A dynamic layer's spec, a policy that makes one, and its sigma
+    module share one rule on sigma_init and pattern, so they refuse a
+    width at the floor or an unknown pattern with the same message."""
+    rng = np.random.default_rng(0)
+    messages = {
+        refusal(lambda: LayerSpec("gmconv-dynamic", "body", 3, 4, 3, sigma_init=sigma_init,
+                                  pattern=pattern)),
+        refusal(lambda: ConvPolicy("dynamic", "static", sigma_init=sigma_init, pattern=pattern)),
+        refusal(lambda: DynamicSigmaModule(3, rng, pattern=pattern, sigma_init=sigma_init)),
+    }
+    assert len(messages) == 1, messages
+
+
+@pytest.mark.parametrize("shape, bias, stride, padding", [
+    ((4, 3, 3, 5), 4, 1, 0),
+    ((4, 3, 3), 4, 1, 0),
+    ((0, 3, 3, 3), 0, 1, 0),
+    ((4, 3, 3, 3), 5, 1, 0),
+    ((4, 3, 3, 3), 4, 0, 0),
+    ((4, 3, 3, 3), 4, 1, -1),
+], ids=["not-square", "3d", "empty", "bias-width", "stride", "padding"])
+def test_conv_layer_and_op_refuse_a_kernel_alike(shape, bias, stride, padding):
+    """Conv2dLayer and conv2d share one rule on weight, bias, stride and
+    padding, so they refuse each malformed one with the same message."""
+    w, b = Tensor(np.zeros(shape)), Tensor(np.zeros(bias))
+    x = Tensor(np.zeros((1, 3, 8, 8)))
+    layer = refusal(lambda: Conv2dLayer(w, b, stride, padding))
+    assert layer == refusal(lambda: conv2d(x, w, b, stride, padding))
 
 
 class TestDynamicForward:

@@ -320,6 +320,21 @@ class TestRuntimeModel:
             assert t.grad is not None, name
             assert np.all(np.isfinite(t.grad)), name
 
+    @pytest.mark.parametrize("policy", [
+        ConvPolicy("static", "static"),
+        ConvPolicy("dynamic", "static"),
+        ConvPolicy("dynamic", "dynamic"),
+    ], ids=["static", "dynamic-stem", "all-dynamic"])
+    def test_every_grad_is_an_array_of_its_shape(self, policy):
+        """A 0-d parameter, such as a static layer's sigma, gets a 0-d
+        array adjoint, not a numpy scalar."""
+        model = Model(apply_policy(build_model("cnn-small", 10), policy), np.random.default_rng(5))
+        x = Tensor(np.random.default_rng(6).normal(size=(2, 3, 32, 32)))
+        tape = GradTape()
+        tape.backward(softmax_cross_entropy(model.forward(x, tape), np.array([3, 7]), tape))
+        for name, t in model.named_parameters():
+            assert type(t.grad) is np.ndarray and t.grad.shape == t.data.shape, name
+
     def test_flat_limit_matches_std_twin(self):
         """Masked model with shared weights and every sigma at the upper
         clamp: logits match the plain twin closely and argmax exactly."""

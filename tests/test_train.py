@@ -139,6 +139,9 @@ class TestConfig:
     def test_normalization_shape_rejected(self):
         with pytest.raises(ConfigError):
             config_from_json('{"normalization": [[0.5, 0.5, 0.5]]}')
+        # well typed, but two stats for three channels: refused at load, not in train()
+        with pytest.raises(ConfigError, match="normalization"):
+            config_from_json('{"normalization": [[0.5, 0.5], [0.2, 0.2]]}')
 
 
 def test_a_run_builds_its_spec_once(monkeypatch):
