@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import check_field_types
 
 class DataError(Exception):
     """Raised for missing, truncated, or malformed dataset files."""
@@ -50,16 +51,7 @@ class DatasetSource:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.id not in DATASET_IDS:
-            raise ValueError(f"unknown dataset id {self.id!r}, expected one of {DATASET_IDS}")
-        if self.split not in ("train", "test"):
-            raise ValueError(f"split must be train or test, got {self.split!r}")
-        if self.id != "synthetic" and self.image_shape != _CIFAR_SHAPE:
-            raise ValueError(f"{self.id} holds {_CIFAR_SHAPE} images, not {self.image_shape}")
-        if self.num_samples < 0:
-            raise ValueError("num_samples must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # first, so that a non-finite stat is a DataError, not a type error
         if self.normalization is not None:
             mean, std = (np.asarray(v, dtype=np.float64) for v in self.normalization)
             c = self.image_shape[0]
@@ -72,6 +64,19 @@ class DatasetSource:
                 raise DataError("normalization means must be finite")
             if not np.all(np.isfinite(std) & (std > 0)):
                 raise DataError("normalization stds must be finite and positive")
+        check_field_types(self)
+        if self.id not in DATASET_IDS:
+            raise ValueError(f"unknown dataset id {self.id!r}, expected one of {DATASET_IDS}")
+        if self.split not in ("train", "test"):
+            raise ValueError(f"split must be train or test, got {self.split!r}")
+        if self.id != "synthetic" and self.image_shape != _CIFAR_SHAPE:
+            raise ValueError(f"{self.id} holds {_CIFAR_SHAPE} images, not {self.image_shape}")
+        if min(self.image_shape) < 1:
+            raise ValueError(f"image_shape dims must be >= 1, got {self.image_shape}")
+        if self.num_samples < 0:
+            raise ValueError("num_samples must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def load_dataset(src: DatasetSource) -> tuple[np.ndarray, np.ndarray]:

@@ -27,6 +27,7 @@ from . import masks
 from .tensor import (
     GradTape,
     Tensor,
+    _result,
     add,
     check_kernel,
     concat_cols,
@@ -101,13 +102,11 @@ def _per_sample_masked_weights(
     if tape is None or not (tape.needs(s1) or tape.needs(s2)):
         return Tensor(masks.elliptic_values_batch(w1, w2, kernel_size).reshape(shape))
     m, g1, g2 = (a.reshape(shape) for a in masks.elliptic_grad_batch(w1, w2, kernel_size))
-    out = Tensor(m)
 
     def backward(dm: np.ndarray):
         return np.sum(dm * g1, axis=(-2, -1)), np.sum(dm * g2, axis=(-2, -1))
 
-    tape.record(out, (s1, s2), backward)
-    return out
+    return _result(m, tape, (s1, s2), backward)
 
 
 class StaticGMConvLayer(_ConvLayer):

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 
 import numpy as np
@@ -49,10 +49,7 @@ from .layers import (
 )
 from .tensor import GradTape, Tensor, add, conv_extent, dense, downsample_pad, global_pool, relu
 
-CONV_OPS = ("conv", "gmconv-static", "gmconv-dynamic")
-ALL_OPS = CONV_OPS + ("relu", "pool", "dense", "block")
 ROLES = ("stem", "body", "head")
-MODES = ("std", "static", "dynamic")
 
 _CONV_FIELDS = ("in_channels", "out_channels", "kernel_size", "stride", "padding")
 # the fields each op reads, and the only ones its JSON form carries
@@ -65,6 +62,11 @@ _LAYER_FIELDS = {
     "dense": ("in_features", "out_features"),
     "block": ("stride",),
 }
+# the conv op each policy mode writes
+_MODE_TO_OP = {"std": "conv", "static": "gmconv-static", "dynamic": "gmconv-dynamic"}
+ALL_OPS = tuple(_LAYER_FIELDS)
+MODES = tuple(_MODE_TO_OP)
+CONV_OPS = tuple(_MODE_TO_OP.values())
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,18 @@ def check_field_types(obj, error: type[Exception] = ValueError) -> None:
         if not _conforms(value, hint):
             kind = hint.__name__ if isinstance(hint, type) else str(hint)
             raise error(f"{name} must be {kind}, got {value!r}")
+
+
+def known_keys(obj, names, what: str, error: type[Exception] = ValueError) -> dict:
+    """`obj` itself, if it is a JSON object whose keys are all among
+    `names`; else raise `error` naming the unknown keys."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object")
+    names = sorted(names)
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise error(f"unknown {what} keys {unknown}; known keys are {names}")
+    return obj
 
 
 @cache  # get_type_hints takes ~0.3 ms, and every LayerSpec is checked
@@ -304,9 +318,6 @@ def build_model(name: str, num_classes: int, width: float = 1.0) -> ModelSpec:
 # policy application
 
 
-_MODE_TO_OP = {"std": "conv", "static": "gmconv-static", "dynamic": "gmconv-dynamic"}
-
-
 def _map_convs(spec: ModelSpec, fn) -> ModelSpec:
     """Replace every conv descriptor, blocks included, by fn(descriptor)."""
 
@@ -376,14 +387,10 @@ def _layer_to_dict(layer: LayerSpec) -> dict:
 
 
 def _layer_from_dict(d: dict) -> LayerSpec:
-    d = dict(d)
-    op = d.pop("op")
-    role = d.pop("role")
+    op = d.get("op") if isinstance(d, dict) else None
+    d = dict(known_keys(d, ("op", "role", "inner", *_LAYER_FIELDS.get(op, ())), "spec layer"))
+    op, role = d.pop("op"), d.pop("role")
     inner = tuple(_layer_from_dict(c) for c in d.pop("inner", []))
-    allowed = set(_LAYER_FIELDS.get(op, ()))
-    bad = set(d) - allowed
-    if bad:
-        raise ValueError(f"unknown fields for op {op!r}: {sorted(bad)}")
     return LayerSpec(op=op, role=role, inner=inner, **d)
 
 
@@ -398,7 +405,7 @@ def spec_to_json(spec: ModelSpec) -> str:
 
 
 def spec_from_json(text: str) -> ModelSpec:
-    doc = json.loads(text)
+    doc = known_keys(json.loads(text), [f.name for f in fields(ModelSpec)], "model spec")
     try:
         return ModelSpec(
             name=doc["name"],

@@ -10,13 +10,16 @@ tensor that feeds several ops are summed out of place, never copied, so a
 ``.grad`` array is read-only and may share memory with another.
 
 Every op is a module-level function taking an optional ``tape`` keyword;
-with ``tape=None`` it is a pure forward evaluation. Tensors carry no
-trainable flag. Activity lives on the tape instead: ``GradTape(wrt=...)``
-names the leaves whose adjoints the caller reads, the tape keeps only the
-ops that depend on them, and those ops skip the adjoints of inputs that do
-not (a probe wants the input's adjoint and no weight's; a training step
-wants the parameters' and not the image's). ``GradTape()`` keeps every op
-and gives every input an adjoint.
+with ``tape=None`` it is a pure forward evaluation. Every op publishes its
+output through one helper, ``_result``, which records the op's own backward
+closure on a tape; work only the backward needs runs inside that closure,
+so a tape-free call does none of it. Tensors carry no trainable flag.
+Activity lives on the tape instead: ``GradTape(wrt=...)`` names the
+leaves whose adjoints the caller reads, the tape keeps only the ops that
+depend on them, and those ops skip the adjoints of inputs that do not (a
+probe wants the input's adjoint and no weight's; a training step wants
+the parameters' and not the image's). ``GradTape()`` keeps every op and
+gives every input an adjoint.
 
 Convolution is flat-shift: the input is padded onto flat per-sample
 grids, and each kernel tap is a zero-copy slice of them, so the forward is
@@ -149,6 +152,16 @@ class GradTape:
                 # asarray, as numpy makes a 0-d sum a scalar, not an array
                 if ig is not None and self.needs(t):
                     t.grad = np.asarray(ig if t.grad is None else t.grad + ig)
+
+
+def _result(data, tape: GradTape | None, inputs: tuple, backward) -> Tensor:
+    """An op's output as a Tensor, recorded on `tape` (if any) with the
+    op's own `backward` closure: tracing tools name a backward after the
+    function that defines its closure."""
+    out = Tensor(data)
+    if tape is not None:
+        tape.record(out, inputs, backward)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +368,19 @@ def conv2d(
     scales each kernel's taps for the whole batch, so the conv is that of
     w * mask; an N x K x K mask convolves sample n with w * mask[n].
     """
+    xd, wd = x.data, w.data
     bdat, md = None if b is None else b.data, None if mask is None else mask.data
-    n, *_, k, ho, wo = _conv_checks(x.data, w.data, bdat, stride, padding)
+    n, *_, k, ho, wo = _conv_checks(xd, wd, bdat, stride, padding)
     if md is not None and md.shape not in ((k, k), (n, k, k)):
         raise ValueError(f"a conv mask must be K x K = {(k, k)} or N x K x K = {(n, k, k)}, "
                          f"got {md.shape}")
-    out = Tensor(_conv_forward(x.data, w.data, md, bdat, stride, padding, ho, wo))
+    need = None if tape is None else (tape.needs(x), tape.needs(w), tape.needs(mask), tape.needs(b))
 
-    if tape is not None:
-        xd, wd = x.data, w.data
-        need = tape.needs(x), tape.needs(w), tape.needs(mask), tape.needs(b)
+    def backward(g: np.ndarray):
+        return _conv_grads(g, xd, wd, md, stride, padding, *need)
 
-        def backward(g: np.ndarray):
-            return _conv_grads(g, xd, wd, md, stride, padding, *need)
-
-        tape.record(out, (x, w, mask, b), backward)
-    return out
+    return _result(_conv_forward(xd, wd, md, bdat, stride, padding, ho, wo), tape,
+                   (x, w, mask, b), backward)
 
 
 def conv2d_reference(
@@ -437,27 +447,17 @@ def global_pool(x: Tensor, mode: str, tape: GradTape | None = None) -> Tensor:
     flat = x.data.reshape(n, c, h * w)
     if mode == "max":
         idx = np.argmax(flat, axis=2)
-        out = Tensor(np.take_along_axis(flat, idx[:, :, None], axis=2)[:, :, 0])
 
-        if tape is not None:
+        def backward(g: np.ndarray):
+            dflat = np.zeros((n, c, h * w))
+            np.put_along_axis(dflat, idx[:, :, None], g[:, :, None], axis=2)
+            return (dflat.reshape(n, c, h, w),)
 
-            def backward(g: np.ndarray):
-                dflat = np.zeros((n, c, h * w))
-                np.put_along_axis(dflat, idx[:, :, None], g[:, :, None], axis=2)
-                return (dflat.reshape(n, c, h, w),)
-
-            tape.record(out, (x,), backward)
-        return out
+        return _result(np.take_along_axis(flat, idx[:, :, None], axis=2)[:, :, 0], tape, (x,),
+                       backward)
     if mode == "avg":
-        out = Tensor(flat.mean(axis=2))
-
-        if tape is not None:
-
-            def backward(g: np.ndarray):
-                return (np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)).copy(),)
-
-            tape.record(out, (x,), backward)
-        return out
+        return _result(flat.mean(axis=2), tape, (x,), lambda g: (
+            np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)).copy(),))
     raise ValueError(f"unknown pool mode {mode!r} (expected 'max' or 'avg')")
 
 
@@ -481,16 +481,12 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None, tape: GradTape | None =
     y = np.matmul(x.data[:, None, :], w.data.T)[:, 0]
     if b is not None:
         y = y + b.data
-    out = Tensor(y)
 
-    if tape is not None:
+    def backward(g: np.ndarray):
+        dx = np.matmul(g[:, None, :], w.data)[:, 0]
+        return dx, g.T @ x.data, None if b is None else g.sum(axis=0)
 
-        def backward(g: np.ndarray):
-            dx = np.matmul(g[:, None, :], w.data)[:, 0]
-            return dx, g.T @ x.data, None if b is None else g.sum(axis=0)
-
-        tape.record(out, (x, w, b), backward)
-    return out
+    return _result(y, tape, (x, w, b), backward)
 
 
 def relu(x: Tensor, tape: GradTape | None = None) -> Tensor:
@@ -500,23 +496,17 @@ def relu(x: Tensor, tape: GradTape | None = None) -> Tensor:
     Bit for bit, the output is np.where(x <= 0, 0.0, x) and the adjoint
     np.where(x <= 0, 0.0, g). The backward reads its mask off the output,
     which is +0.0 exactly where x <= 0, so the tape keeps no mask array."""
-    out = Tensor(np.maximum(x.data, 0.0))
-    if tape is not None:
-        y, u64 = out.data, np.uint64
-        # g's bits times 1 or 0: g's own bits, or +0.0's all-zero bits
-        tape.record(out, (x,), lambda g: (
-            np.multiply(g.view(u64), y != 0.0, out=np.empty(y.shape, u64)).view(np.float64),))
-    return out
+    y, u64 = np.maximum(x.data, 0.0), np.uint64
+    # g's bits times 1 or 0: g's own bits, or +0.0's all-zero bits
+    return _result(y, tape, (x,), lambda g: (
+        np.multiply(g.view(u64), y != 0.0, out=np.empty(y.shape, u64)).view(np.float64),))
 
 
 def softplus(x: Tensor, tape: GradTape | None = None) -> Tensor:
     """log(1 + exp(x)) via logaddexp; derivative is the logistic sigmoid."""
-    out = Tensor(np.logaddexp(0.0, x.data))
-    if tape is not None:
-        # sigmoid(x) = exp(-softplus(-x)), stable at both tails
-        sig = np.exp(-np.logaddexp(0.0, -x.data))
-        tape.record(out, (x,), lambda g: (g * sig,))
-    return out
+    # sigmoid(x) = exp(-softplus(-x)), stable at both tails
+    return _result(np.logaddexp(0.0, x.data), tape, (x,),
+                   lambda g: (g * np.exp(-np.logaddexp(0.0, -x.data)),))
 
 
 def softmax_cross_entropy(
@@ -542,18 +532,13 @@ def softmax_cross_entropy(
     logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logsum
     loss = -float(logp[np.arange(n), labels].mean())
-    out = Tensor(np.float64(loss))
 
-    if tape is not None:
-        probs = np.exp(logp)
+    def backward(g: np.ndarray):
+        grad = np.exp(logp)
+        grad[np.arange(n), labels] -= 1.0
+        return (grad * (float(g) / n),)
 
-        def backward(g: np.ndarray):
-            grad = probs.copy()
-            grad[np.arange(n), labels] -= 1.0
-            return (grad * (float(g) / n),)
-
-        tape.record(out, (logits,), backward)
-    return out
+    return _result(np.float64(loss), tape, (logits,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -563,65 +548,45 @@ def softmax_cross_entropy(
 def add(a: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data + b.data)
-    if tape is not None:
-        tape.record(out, (a, b), lambda g: (g, g))
-    return out
+    return _result(a.data + b.data, tape, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data * b.data)
-    if tape is not None:
-        ad, bd = a.data, b.data
-        tape.record(out, (a, b), lambda g: (g * bd, g * ad))
-    return out
+    return _result(a.data * b.data, tape, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def concat_cols(a: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
     """Concatenate two N x F tensors along the feature axis."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
         raise ValueError(f"concat_cols needs matching 2D rows: {a.data.shape}, {b.data.shape}")
-    out = Tensor(np.concatenate([a.data, b.data], axis=1))
-    if tape is not None:
-        split = a.data.shape[1]
-        tape.record(out, (a, b), lambda g: (g[:, :split], g[:, split:]))
-    return out
+    split = a.data.shape[1]
+    return _result(np.concatenate([a.data, b.data], axis=1), tape, (a, b),
+                   lambda g: (g[:, :split], g[:, split:]))
 
 
 def take_column(x: Tensor, j: int, tape: GradTape | None = None) -> Tensor:
     """Select column j of an N x F tensor as an N-vector."""
     if x.data.ndim != 2:
         raise ValueError(f"take_column expects 2D, got {x.data.shape}")
-    out = Tensor(x.data[:, j].copy())
-    if tape is not None:
-        shape = x.data.shape
 
-        def backward(g: np.ndarray):
-            dx = np.zeros(shape)
-            dx[:, j] = g
-            return (dx,)
+    def backward(g: np.ndarray):
+        dx = np.zeros(x.data.shape)
+        dx[:, j] = g
+        return (dx,)
 
-        tape.record(out, (x,), backward)
-    return out
+    return _result(x.data[:, j].copy(), tape, (x,), backward)
 
 
 def reshape(x: Tensor, new_shape, tape: GradTape | None = None) -> Tensor:
-    out = Tensor(x.data.reshape(new_shape))
-    if tape is not None:
-        old = x.data.shape
-        tape.record(out, (x,), lambda g: (g.reshape(old),))
-    return out
+    return _result(x.data.reshape(new_shape), tape, (x,), lambda g: (g.reshape(x.data.shape),))
 
 
 def tsum(x: Tensor, tape: GradTape | None = None) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
-    out = Tensor(np.float64(x.data.sum()))
-    if tape is not None:
-        shape = x.data.shape
-        tape.record(out, (x,), lambda g: (np.full(shape, float(g)),))
-    return out
+    return _result(np.float64(x.data.sum()), tape, (x,),
+                   lambda g: (np.full(x.data.shape, float(g)),))
 
 
 def downsample_pad(
@@ -636,14 +601,10 @@ def downsample_pad(
     ho, wo = sub.shape[2], sub.shape[3]
     y = np.zeros((n, out_channels, ho, wo))
     y[:, :c] = sub
-    out = Tensor(y)
 
-    if tape is not None:
+    def backward(g: np.ndarray):
+        dx = np.zeros((n, c, h, w))
+        dx[:, :, ::2, ::2] = g[:, :c]
+        return (dx,)
 
-        def backward(g: np.ndarray):
-            dx = np.zeros((n, c, h, w))
-            dx[:, :, ::2, ::2] = g[:, :c]
-            return (dx,)
-
-        tape.record(out, (x,), backward)
-    return out
+    return _result(y, tape, (x,), backward)

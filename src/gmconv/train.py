@@ -37,6 +37,7 @@ from .models import (
     apply_policy,
     build_model,
     check_field_types,
+    known_keys,
     spec_to_json,
 )
 from .tensor import GradTape, Tensor, softmax_cross_entropy
@@ -124,19 +125,11 @@ def config_from_json(text: str) -> TrainConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
-
-    def known(obj, cls, what: str) -> dict:
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{what} must be a JSON object")
-        names = sorted(f.name for f in fields(cls))
-        unknown = sorted(set(obj) - set(names))
-        if unknown:
-            raise ConfigError(f"unknown {what} keys {unknown}; known keys are {names}")
-        return obj
-
-    kwargs = {key: _tuples(value) for key, value in known(raw, TrainConfig, "config").items()}
+    names = [f.name for f in fields(TrainConfig)]
+    kwargs = {k: _tuples(v) for k, v in known_keys(raw, names, "config", ConfigError).items()}
     if "policy" in kwargs:
-        kwargs["policy"] = ConvPolicy(**known(kwargs["policy"], ConvPolicy, "policy"))
+        names = [f.name for f in fields(ConvPolicy)]
+        kwargs["policy"] = ConvPolicy(**known_keys(kwargs["policy"], names, "policy", ConfigError))
     return TrainConfig(**kwargs)
 
 

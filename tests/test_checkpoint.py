@@ -28,6 +28,7 @@ from gmconv.models import (
     ModelSpec,
     apply_policy,
     build_model,
+    spec_from_json,
     spec_to_json,
 )
 from gmconv.tensor import Tensor
@@ -292,3 +293,23 @@ def test_any_spec_field_substitution_restores_or_is_a_data_error(every_op_checkp
         restore_model(load_checkpoint(str(bad)))
     except DataError:
         pass
+
+
+@pytest.mark.parametrize("where", [
+    ("spec", "extra"),
+    ("spec", "layers", 0, "extra"),
+    ("spec", "layers", 2, "inner", 1, "extra"),
+])
+def test_unknown_spec_key_is_refused(every_op_checkpoint, where):
+    """A spec document, layer or block conv carrying a key that no field
+    reads is refused: by spec_from_json as a ValueError, and by
+    load_checkpoint as a DataError."""
+    raw, _, bad = every_op_checkpoint
+    mutated = mutated_header(raw, where, 1)
+    bad.write_bytes(mutated)
+    unknown = r"unknown (model spec|spec layer) keys \['extra'\]"
+    with pytest.raises(DataError, match=unknown):
+        load_checkpoint(str(bad))
+    (hlen,) = struct.unpack("<I", mutated[4:8])
+    with pytest.raises(ValueError, match=unknown):
+        spec_from_json(json.dumps(json.loads(mutated[8 : 8 + hlen])["spec"]))

@@ -142,6 +142,10 @@ class TestSynthetic:
             DatasetSource("synthetic", split="val")
         with pytest.raises(ValueError):
             DatasetSource("synthetic", num_samples=-1)
+        # each field holds its type, and an image has at least one pixel
+        for field, value in [("num_samples", 2.5), ("seed", True), ("image_shape", (3, 0, 8))]:
+            with pytest.raises(ValueError, match=field):
+                DatasetSource("synthetic", **{field: value})
         for stats in [
             ((0.5, 0.5), (0.25, 0.25)),  # two stats for three channels
             ((0.5, 0.5, 0.5), (0.25, 0.0, 0.25)),

@@ -884,12 +884,15 @@ NAMED_OPS = [
 ] + [(layers, "_per_sample_masked_weights", None)]
 
 
-@pytest.mark.parametrize(
+each_named_op = pytest.mark.parametrize(
     "module,name,mode",
     NAMED_OPS,
     ids=[f"{m.__name__.rsplit('.', 1)[-1]}.{n}" + (f"-{mode}" if mode else "")
          for m, n, mode in NAMED_OPS],
 )
+
+
+@each_named_op
 def test_backward_closures_are_named_after_their_op(module, name, mode):
     """Tracing tools name a backward `<module>.<op>` from its closure's
     __module__ and the __qualname__ before `.<locals>`; a closure built in
@@ -902,3 +905,17 @@ def test_backward_closures_are_named_after_their_op(module, name, mode):
     for _, _, backward in tape.records:
         assert backward.__module__ == op.__module__
         assert backward.__qualname__.split(".<locals>")[0] == op.__qualname__
+
+
+@each_named_op
+def test_tape_changes_no_output_and_records_only_needed_ops(module, name, mode):
+    """Every op publishes through one helper: a tape-free call's output is
+    the taped call's bit for bit, and a tape whose only `wrt` leaf feeds no
+    input of the op records nothing. Each call draws its inputs afresh from
+    the same seed."""
+    free = taped_calls()[name, mode](None).data
+    taped = taped_calls()[name, mode](GradTape()).data
+    assert free.shape == taped.shape and free.tobytes() == taped.tobytes()
+    tape = GradTape(wrt=(Tensor(np.zeros(1)),))
+    taped_calls()[name, mode](tape)
+    assert tape.records == []
