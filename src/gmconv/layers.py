@@ -67,14 +67,17 @@ def softplus_inverse(y: float) -> float:
 
 class _ConvLayer:
     """What every conv layer holds: an O x C x K x K weight, a bias per
-    filter, stride and padding."""
+    filter, stride and padding, and whether its conv ends in a ReLU
+    (`conv2d(relu=True)`), as a residual block's first conv does."""
 
-    def __init__(self, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0):
+    def __init__(self, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
+                 relu: bool = False):
         check_kernel(weight.data, bias.data, stride, padding)
         self.weight = weight
         self.bias = bias
         self.stride = stride
         self.padding = padding
+        self.relu = relu
 
     @property
     def kernel_size(self) -> int:
@@ -88,7 +91,7 @@ class Conv2dLayer(_ConvLayer):
     """Ordinary convolution; also the result of folding a static layer."""
 
     def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.stride, self.padding, tape)
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding, tape, relu=self.relu)
 
 
 def _per_sample_masked_weights(
@@ -124,8 +127,9 @@ class StaticGMConvLayer(_ConvLayer):
         sigma: float = 5.0,
         stride: int = 1,
         padding: int = 0,
+        relu: bool = False,
     ):
-        super().__init__(weight, bias, stride, padding)
+        super().__init__(weight, bias, stride, padding, relu)
         self.sigma = Tensor(np.float64(sigma))
         self.folded = False
 
@@ -133,7 +137,7 @@ class StaticGMConvLayer(_ConvLayer):
         if self.folded:
             raise RuntimeError("layer was folded; its sigma has been consumed")
         m = _per_sample_masked_weights(self.sigma, self.sigma, self.kernel_size, tape)
-        return conv2d(x, self.weight, self.bias, self.stride, self.padding, tape, mask=m)
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding, tape, m, self.relu)
 
     def param_items(self):
         return super().param_items() + [("sigma", self.sigma)]
@@ -144,7 +148,8 @@ def fold_mask(layer: StaticGMConvLayer) -> Conv2dLayer:
 
     The folded weight is W * circular_values(sigma, K), the same products
     the static forward forms when its mask scales the kernel's taps, so the
-    folded layer reproduces its outputs bit for bit.
+    folded layer reproduces its outputs bit for bit; it keeps the layer's
+    ReLU epilogue.
     Folding consumes the layer: a second fold (or further forward calls
     on the original) is rejected. Dynamic layers cannot be folded because
     their mask depends on the input.
@@ -157,7 +162,8 @@ def fold_mask(layer: StaticGMConvLayer) -> Conv2dLayer:
         raise RuntimeError("layer is already folded")
     mask = masks.circular_values(float(layer.sigma.data), layer.kernel_size)
     layer.folded = True
-    return Conv2dLayer(Tensor(layer.weight.data * mask), layer.bias, layer.stride, layer.padding)
+    return Conv2dLayer(Tensor(layer.weight.data * mask), layer.bias, layer.stride, layer.padding,
+                       layer.relu)
 
 
 class DynamicSigmaModule:
@@ -245,8 +251,9 @@ class DynamicGMConvLayer(_ConvLayer):
         sigma_module: DynamicSigmaModule,
         stride: int = 1,
         padding: int = 0,
+        relu: bool = False,
     ):
-        super().__init__(weight, bias, stride, padding)
+        super().__init__(weight, bias, stride, padding, relu)
         if sigma_module.in_channels != weight.data.shape[1]:
             raise ValueError(
                 f"sigma module expects {sigma_module.in_channels} channels, "
@@ -257,7 +264,7 @@ class DynamicGMConvLayer(_ConvLayer):
     def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
         s1, s2 = self.sigma_module.predict(x, tape)
         m = _per_sample_masked_weights(s1, s2, self.kernel_size, tape)
-        return conv2d(x, self.weight, self.bias, self.stride, self.padding, tape, mask=m)
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding, tape, m, self.relu)
 
     def param_items(self):
         module = [(f"sigma_module.{n}", t) for n, t in self.sigma_module.param_items()]

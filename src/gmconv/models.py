@@ -386,11 +386,21 @@ def _layer_to_dict(layer: LayerSpec) -> dict:
     return d
 
 
+def _json_list(value, what: str) -> list:
+    """`value` itself, if it is a JSON list; else a ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
 def _layer_from_dict(d: dict) -> LayerSpec:
     op = d.get("op") if isinstance(d, dict) else None
+    # `in`, not a dict lookup: an op read from JSON may be an unhashable list
+    if isinstance(d, dict) and op not in ALL_OPS:
+        raise ValueError(f"unknown layer op {op!r}")
     d = dict(known_keys(d, ("op", "role", "inner", *_LAYER_FIELDS.get(op, ())), "spec layer"))
     op, role = d.pop("op"), d.pop("role")
-    inner = tuple(_layer_from_dict(c) for c in d.pop("inner", []))
+    inner = tuple(_layer_from_dict(c) for c in _json_list(d.pop("inner", []), "spec layer inner"))
     return LayerSpec(op=op, role=role, inner=inner, **d)
 
 
@@ -410,8 +420,8 @@ def spec_from_json(text: str) -> ModelSpec:
         return ModelSpec(
             name=doc["name"],
             num_classes=doc["num_classes"],
-            input_shape=tuple(doc["input_shape"]),
-            layers=tuple(_layer_from_dict(l) for l in doc["layers"]),
+            input_shape=tuple(_json_list(doc["input_shape"], "input_shape")),
+            layers=tuple(_layer_from_dict(l) for l in _json_list(doc["layers"], "layers")),
         )
     except KeyError as exc:
         raise ValueError(f"model spec document is missing field {exc}") from exc
@@ -453,9 +463,13 @@ class _DenseOp:
 
 
 class _ResidualBlock:
-    """Two 3x3 convs with an identity shortcut. A stride-2 first conv
-    pairs with a parameter-free subsample-and-zero-pad shortcut. Stride
-    and widths are read from the convs and the input."""
+    """Two 3x3 convs with an identity shortcut: relu(conv2(relu(conv1(x)))
+    + shortcut). A stride-2 first conv pairs with a parameter-free
+    subsample-and-zero-pad shortcut. Stride and widths are read from the
+    convs and the input. Both ReLUs run inside the op before them: conv1
+    is built with the ReLU epilogue and the shortcut add takes
+    `relu=True`, so the block records no relu op and no raw conv1 output
+    or residual sum is ever stored."""
 
     children = ("conv1", "conv2")
 
@@ -464,13 +478,17 @@ class _ResidualBlock:
         self.conv2 = conv2
 
     def forward(self, x, tape=None):
-        h = relu(self.conv1.forward(x, tape), tape)
-        h = self.conv2.forward(h, tape)
+        # h stays referenced until the add has allocated the block's output.
+        # Freed before, it and conv2's output leave the heap top free, which
+        # malloc trims and the next block faults back in: a tape-free forward
+        # then takes about twice the page faults and runs slower.
+        h = self.conv1.forward(x, tape)
+        y = self.conv2.forward(h, tape)
         if self.conv1.stride == 1:  # the spec check keeps a stride-1 block's width
             shortcut = x
         else:
             shortcut = downsample_pad(x, self.conv1.weight.data.shape[0], tape)
-        return relu(add(h, shortcut, tape), tape)
+        return add(y, shortcut, tape, relu=True)
 
     def param_items(self):
         return []
@@ -481,16 +499,16 @@ def _he_normal(rng: np.random.Generator, *shape: int) -> Tensor:
     return Tensor(rng.normal(0.0, math.sqrt(2.0 / math.prod(shape[1:])), size=shape))
 
 
-def _build_conv_module(layer: LayerSpec, rng: np.random.Generator):
+def _build_conv_module(layer: LayerSpec, rng: np.random.Generator, relu: bool = False):
     o, c, k = layer.out_channels, layer.in_channels, layer.kernel_size
     w = _he_normal(rng, o, c, k, k)
     b = Tensor(np.zeros(o))
     if layer.op == "conv":
-        return Conv2dLayer(w, b, layer.stride, layer.padding)
+        return Conv2dLayer(w, b, layer.stride, layer.padding, relu)
     if layer.op == "gmconv-static":
-        return StaticGMConvLayer(w, b, layer.sigma_init, layer.stride, layer.padding)
+        return StaticGMConvLayer(w, b, layer.sigma_init, layer.stride, layer.padding, relu)
     module = DynamicSigmaModule(c, rng, pattern=layer.pattern, sigma_init=layer.sigma_init)
-    return DynamicGMConvLayer(w, b, module, layer.stride, layer.padding)
+    return DynamicGMConvLayer(w, b, module, layer.stride, layer.padding, relu)
 
 
 class Model:
@@ -508,7 +526,7 @@ class Model:
             if layer.op in CONV_OPS:
                 self.modules.append(_build_conv_module(layer, rng))
             elif layer.op == "block":
-                c1 = _build_conv_module(layer.inner[0], rng)
+                c1 = _build_conv_module(layer.inner[0], rng, relu=True)
                 c2 = _build_conv_module(layer.inner[1], rng)
                 # Blocks start as identities: with no normalization layers,
                 # zeroing the branch's last conv and shrinking the first by

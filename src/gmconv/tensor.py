@@ -36,6 +36,14 @@ over its taps: a K x K mask scales each tap matrix once, W_t * M[t], for
 the whole batch, and an N x K x K mask scales sample n's, W_t * M[n, t], a
 chunk at a time. The direct-loop references are internal oracles; the
 paths agree to near machine precision.
+
+``relu`` clamps with one ``np.maximum`` and selects its adjoint bit for
+bit by the output it kept (``_relu_adjoint``). ``conv2d`` and ``add`` take
+``relu=True`` to do the same to their own output, so a pre-activation that
+only a ReLU reads is never stored: the conv clamps each batch chunk right
+after its bias add, while the chunk is still in cache, the add clamps its
+fresh sum in place, and either backward first selects its adjoint with
+``_relu_adjoint``. The output is relu of the plain op's, bit for bit.
 """
 
 from __future__ import annotations
@@ -251,10 +259,12 @@ def _weight_taps(wd: np.ndarray, md):
     return wt.copy(), None if md is None else np.moveaxis(md, 0, -1)
 
 
-def _conv_forward(xd, wd, md, bdat, stride: int, padding: int, ho: int, wo: int) -> np.ndarray:
+def _conv_forward(xd, wd, md, bdat, stride: int, padding: int, ho: int, wo: int,
+                  relu: bool = False) -> np.ndarray:
     """Sum of `W_t @ slice_t` over taps, one batch chunk at a time; W_t is
     O x C, scaled by a K x K mask md[t], or m x O x C under an N x K x K
-    mask: W_t * md[n, t]."""
+    mask: W_t * md[n, t]. With `relu`, each chunk's output is clamped at 0
+    right after its bias add, while it is still in cache."""
     (n, c), (o, _, k, _), s = xd.shape[:2], wd.shape, stride
     hg, wg, taps, phases, chunk = _conv_plan(xd.shape, o, k, s, padding, ho, wo)
     span = ho * wg
@@ -276,6 +286,8 @@ def _conv_forward(xd, wd, md, bdat, stride: int, padding: int, ho: int, wo: int)
             out[a : a + m] = res
         else:
             np.add(res, bdat[:, None, None], out=out[a : a + m])
+        if relu:
+            np.maximum(out[a : a + m], 0.0, out=out[a : a + m])
     return out
 
 
@@ -359,6 +371,7 @@ def conv2d(
     padding: int = 0,
     tape: GradTape | None = None,
     mask: Tensor | None = None,
+    relu: bool = False,
 ) -> Tensor:
     """2D cross-correlation of N x C x H x W input with O x C x K x K weights.
 
@@ -367,6 +380,9 @@ def conv2d(
     zero-padded receptive field, plus the per-channel bias. A K x K `mask`
     scales each kernel's taps for the whole batch, so the conv is that of
     w * mask; an N x K x K mask convolves sample n with w * mask[n].
+    With `relu`, the output is relu(conv) bit for bit, clamped one batch
+    chunk at a time, and the backward first masks its adjoint with
+    `relu`'s select; the raw conv output is never stored.
     """
     xd, wd = x.data, w.data
     bdat, md = None if b is None else b.data, None if mask is None else mask.data
@@ -375,12 +391,12 @@ def conv2d(
         raise ValueError(f"a conv mask must be K x K = {(k, k)} or N x K x K = {(n, k, k)}, "
                          f"got {md.shape}")
     need = None if tape is None else (tape.needs(x), tape.needs(w), tape.needs(mask), tape.needs(b))
+    y = _conv_forward(xd, wd, md, bdat, stride, padding, ho, wo, relu)
 
     def backward(g: np.ndarray):
-        return _conv_grads(g, xd, wd, md, stride, padding, *need)
+        return _conv_grads(_relu_adjoint(g, y) if relu else g, xd, wd, md, stride, padding, *need)
 
-    return _result(_conv_forward(xd, wd, md, bdat, stride, padding, ho, wo), tape,
-                   (x, w, mask, b), backward)
+    return _result(y, tape, (x, w, mask, b), backward)
 
 
 def conv2d_reference(
@@ -489,17 +505,26 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None, tape: GradTape | None =
     return _result(y, tape, (x, w, b), backward)
 
 
+def _relu_adjoint(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The adjoint of x for the adjoint g of y = max(x, 0): g where y != 0,
+    +0.0 elsewhere, as a fresh C-contiguous array. It reads its mask off the
+    output, which is +0.0 exactly where x <= 0, so no mask array is kept.
+    `relu`, `conv2d(relu=True)` and `add(relu=True)` all select with it."""
+    u64 = np.uint64
+    # g's bits times 1 or 0: g's own bits, or +0.0's all-zero bits
+    return np.multiply(g.view(u64), y != 0.0, out=np.empty(y.shape, u64)).view(np.float64)
+
+
 def relu(x: Tensor, tape: GradTape | None = None) -> Tensor:
     """Elementwise max(0, x); the subgradient at exactly 0 is 0. NaN is not
     clamped: it passes forward, and its adjoint passes backward, so an
     overflowed activation cannot vanish into a zero output or map.
     Bit for bit, the output is np.where(x <= 0, 0.0, x) and the adjoint
-    np.where(x <= 0, 0.0, g). The backward reads its mask off the output,
-    which is +0.0 exactly where x <= 0, so the tape keeps no mask array."""
-    y, u64 = np.maximum(x.data, 0.0), np.uint64
-    # g's bits times 1 or 0: g's own bits, or +0.0's all-zero bits
-    return _result(y, tape, (x,), lambda g: (
-        np.multiply(g.view(u64), y != 0.0, out=np.empty(y.shape, u64)).view(np.float64),))
+    np.where(x <= 0, 0.0, g), the select of `_relu_adjoint`. `conv2d` and
+    `add` take `relu=True` to apply the same clamp and select to their own
+    output, so a residual block tapes no pre-activation."""
+    y = np.maximum(x.data, 0.0)
+    return _result(y, tape, (x,), lambda g: (_relu_adjoint(g, y),))
 
 
 def softplus(x: Tensor, tape: GradTape | None = None) -> Tensor:
@@ -545,10 +570,23 @@ def softmax_cross_entropy(
 # structural ops
 
 
-def add(a: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
+def add(a: Tensor, b: Tensor, tape: GradTape | None = None, relu: bool = False) -> Tensor:
+    """Elementwise a + b. With `relu`, the sum is clamped in place to
+    relu(a + b), bit for bit, and the backward hands both inputs `relu`'s
+    select of its adjoint; the raw sum is never stored."""
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    return _result(a.data + b.data, tape, (a, b), lambda g: (g, g))
+    # out= keeps a 0-d sum an array, which the in-place clamp writes to
+    y = np.add(a.data, b.data, out=np.empty(a.data.shape))
+    if relu:
+        np.maximum(y, 0.0, out=y)
+
+    def backward(g: np.ndarray):
+        if relu:
+            g = _relu_adjoint(g, y)
+        return g, g
+
+    return _result(y, tape, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:

@@ -17,6 +17,7 @@ from gmconv.checkpoint import (
     restore_model,
     save_checkpoint,
 )
+from gmconv.cli import main
 from gmconv.data import DataError
 from gmconv.layers import PATTERNS
 from gmconv.models import (
@@ -295,21 +296,33 @@ def test_any_spec_field_substitution_restores_or_is_a_data_error(every_op_checkp
         pass
 
 
-@pytest.mark.parametrize("where", [
-    ("spec", "extra"),
-    ("spec", "layers", 0, "extra"),
-    ("spec", "layers", 2, "inner", 1, "extra"),
+UNKNOWN_KEY = r"unknown (model spec|spec layer) keys \['extra'\]"
+
+
+@pytest.mark.parametrize("where,value,match", [
+    pytest.param(("spec", "extra"), 1, UNKNOWN_KEY, id="where0"),
+    pytest.param(("spec", "layers", 0, "extra"), 1, UNKNOWN_KEY, id="where1"),
+    pytest.param(("spec", "layers", 2, "inner", 1, "extra"), 1, UNKNOWN_KEY, id="where2"),
+    pytest.param(("spec", "layers", 0, "op"), ["conv"], "unknown layer op", id="op-list"),
+    pytest.param(("spec", "layers", 0, "op"), {"conv": 1}, "unknown layer op", id="op-object"),
+    pytest.param(("spec", "layers"), 3, "layers must be a JSON list", id="layers-number"),
+    pytest.param(("spec", "layers", 2, "inner"), 3, "inner must be a JSON list", id="inner-number"),
+    pytest.param(("spec", "input_shape"), 3, "input_shape must be a JSON list",
+                 id="input_shape-number"),
 ])
-def test_unknown_spec_key_is_refused(every_op_checkpoint, where):
+def test_unknown_spec_key_is_refused(every_op_checkpoint, where, value, match):
     """A spec document, layer or block conv carrying a key that no field
-    reads is refused: by spec_from_json as a ValueError, and by
-    load_checkpoint as a DataError."""
+    reads, or a value of the wrong JSON kind where the reader walks into it
+    (a layer op that is a list or an object; `layers`, a block's `inner` or
+    `input_shape` that is a number), is refused: by spec_from_json as a
+    ValueError, and by load_checkpoint as a DataError, exit 3 on the
+    command line."""
     raw, _, bad = every_op_checkpoint
-    mutated = mutated_header(raw, where, 1)
+    mutated = mutated_header(raw, where, value)
     bad.write_bytes(mutated)
-    unknown = r"unknown (model spec|spec layer) keys \['extra'\]"
-    with pytest.raises(DataError, match=unknown):
+    with pytest.raises(DataError, match=match):
         load_checkpoint(str(bad))
+    assert main(["eval", "--ckpt", str(bad)]) == 3
     (hlen,) = struct.unpack("<I", mutated[4:8])
-    with pytest.raises(ValueError, match=unknown):
+    with pytest.raises(ValueError, match=match):
         spec_from_json(json.dumps(json.loads(mutated[8 : 8 + hlen])["spec"]))

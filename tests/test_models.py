@@ -351,6 +351,43 @@ class TestRuntimeModel:
             np.testing.assert_allclose(b, a, rtol=1e-6, atol=1e-6)
             np.testing.assert_array_equal(np.argmax(a, axis=1), np.argmax(b, axis=1))
 
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_block_tape_holds_no_pre_activation(self, mode):
+        """A taped forward of a residual block keeps neither the raw conv1
+        output nor the raw residual sum alive: at the block's activation
+        shape its records hold four arrays (the input, conv1's output after
+        its ReLU, conv2's output and the block's output), none of them a
+        pre-activation, and the output is relu of the residual sum bit for
+        bit. The pre-activations are recomputed tape-free, conv1's with its
+        ReLU epilogue switched off."""
+        inner = tuple(LayerSpec(op="conv", role="body", in_channels=4, out_channels=4,
+                                kernel_size=3, padding=1) for _ in range(2))
+        spec = ModelSpec("block", 3, (4, 6, 6), (
+            LayerSpec(op="block", role="body", inner=inner),
+            LayerSpec(op="pool", role="head"),
+            LayerSpec(op="dense", role="head", in_features=4, out_features=3),
+        ))
+        model = Model(apply_policy(spec, ConvPolicy(mode, mode)), np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for name, t in model.named_parameters():
+            if name.endswith(".weight"):  # conv2 starts at zero
+                t.data[...] = rng.normal(size=t.data.shape)
+        block, x = model.modules[0], Tensor(rng.normal(size=(2, 4, 6, 6)))
+        tape = GradTape()
+        out = block.forward(x, tape).data
+
+        block.conv1.relu = False
+        pre_conv1 = block.conv1.forward(x).data
+        block.conv1.relu = True
+        pre_sum = block.conv2.forward(Tensor(np.maximum(pre_conv1, 0.0))).data + x.data
+        assert (pre_conv1 < 0).any() and (pre_sum < 0).any()
+        assert out.tobytes() == np.maximum(pre_sum, 0.0).tobytes()
+        held = {id(t.data): t.data for rec_out, inputs, _ in tape.records
+                for t in (rec_out, *inputs) if t is not None and t.data.shape == x.data.shape}
+        assert len(held) == 4
+        for a in held.values():
+            assert not np.array_equal(a, pre_conv1) and not np.array_equal(a, pre_sum)
+
     def test_sigma_items_enumerated_in_order(self):
         spec = apply_policy(build_model("resnet20-slim", 10, width=0.25),
                             ConvPolicy("dynamic", "static"))
@@ -361,17 +398,28 @@ class TestRuntimeModel:
         assert len(model.masked_layer_items()) == 19
 
     def test_fold_whole_model(self):
-        spec = apply_policy(build_model("cnn-small", 10), ConvPolicy("static", "static"))
-        model = Model(spec, np.random.default_rng(9))
-        for _, t in model.static_sigma_items():
-            t.data[...] = 1.4  # make the masks non-trivial
-        x = Tensor(np.random.default_rng(10).normal(size=(4, 3, 32, 32)))
-        before = model.forward(x).data
-        folded = model.fold()
-        assert folded == 4
-        np.testing.assert_array_equal(model.forward(x).data, before)
-        assert all(l.op != "gmconv-static" for l in model.spec.layers)
-        assert model.fold() == 0  # nothing left to fold
+        """Folding keeps the logits bit for bit, in cnn-small and in a
+        resnet20-slim whose block convs end in the ReLU epilogue; there the
+        weights are redrawn, as each block's second conv starts at zero."""
+        for net, width, count in (("cnn-small", 1.0, 4), ("resnet20-slim", 0.25, 19)):
+            spec = apply_policy(build_model(net, 10, width), ConvPolicy("static", "static"))
+            model = Model(spec, np.random.default_rng(9))
+            for _, t in model.static_sigma_items():
+                t.data[...] = 1.4  # make the masks non-trivial
+            rng = np.random.default_rng(10)
+            if net == "resnet20-slim":
+                for name, t in model.named_parameters():
+                    if name.endswith(".weight"):
+                        scale = np.sqrt(1.0 / t.data[0].size)
+                        t.data[...] = rng.normal(0.0, scale, size=t.data.shape)
+            x = Tensor(rng.normal(size=(4, 3, 32, 32)))
+            before = model.forward(x).data
+            folded = model.fold()
+            assert folded == count
+            np.testing.assert_array_equal(model.forward(x).data, before)
+            convs = [c for l in model.spec.layers for c in (l, *l.inner)]
+            assert all(c.op != "gmconv-static" for c in convs)
+            assert model.fold() == 0  # nothing left to fold
 
     def test_fold_leaves_dynamic_layers(self):
         spec = apply_policy(build_model("cnn-small", 10), ConvPolicy("dynamic", "static"))

@@ -285,20 +285,21 @@ def test_conv_working_set_stays_chunk_sized():
 def conv_cases(draw, max_batch=3):
     """A random conv geometry (H != W allowed; K even or odd, up to the
     padded extent), its mask kind (None, "shared" or "per_sample"), whether
-    it has a bias, and a seed for its arrays."""
+    it has a bias, whether it ends in the ReLU epilogue, and a seed for its
+    arrays."""
     n, c, o = draw(st.integers(1, max_batch)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     h, wdt = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     s, p = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     k = draw(st.integers(1, min(5, h + 2 * p, wdt + 2 * p)))
     geometry = (n, c, h, wdt, o, k, s, p)
     mask = draw(st.sampled_from((None, "shared", "per_sample")))
-    return geometry, mask, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    return geometry, mask, draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
 def conv_arrays(case):
     """x, w, the mask (K x K shared, N x K x K per sample, or None) and the
     bias of a `conv_cases` draw."""
-    (n, c, h, wdt, o, k, s, p), mask, has_bias, seed = case
+    (n, c, h, wdt, o, k, s, p), mask, has_bias, _, seed = case
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, c, h, wdt))
     w = rng.normal(size=(o, c, k, k))
@@ -314,8 +315,9 @@ def test_batch_chunks_change_no_value(case):
     bit-identical whether the batch runs as one chunk, as one-sample
     chunks, or as chunks of 2 or 3 samples with a ragged last one; so is
     the dm of a mask shared by the batch, which sums over every chunk. An
-    unmasked kernel has no mask, so need_m stays False for it."""
-    (n, c, h, wdt, o, k, s, p), _, _, _ = case
+    unmasked kernel has no mask, so need_m stays False for it. A forward
+    with the ReLU epilogue is max(forward, 0) bit for bit, chunk by chunk."""
+    (n, c, h, wdt, o, k, s, p), *_ = case
     rng, x, w, m, b = conv_arrays(case)
     ho, wo = (h + 2 * p - k) // s + 1, (wdt + 2 * p - k) // s + 1
     g = rng.normal(size=(n, o, ho, wo))
@@ -326,9 +328,11 @@ def test_batch_chunks_change_no_value(case):
 
     def run():
         grads = [tensor._conv_grads(g, x, w, m, s, p, *need) for need in needs]
-        return [tensor._conv_forward(x, w, m, b, s, p, ho, wo)] + [a for gs in grads for a in gs]
+        forwards = [tensor._conv_forward(x, w, m, b, s, p, ho, wo, relu) for relu in (False, True)]
+        return forwards + [a for gs in grads for a in gs]
 
     want = run()
+    assert want[1].tobytes() == np.maximum(want[0], 0.0).tobytes()
     for per_chunk in (1, 2, 3):
         block = per_chunk * 8 * (o + c * s * s) * hg * wg
         with mock.patch.object(tensor, "_BLOCK_BYTES", block):
@@ -347,11 +351,14 @@ def test_random_conv_geometry_matches_the_oracle(case):
     per-sample mask against the loop over the kernels w * m[n]; backward
     through the adjoint identities <g, conv(x, w, m)> = <dx, x> = <dw, w> =
     <dm, m> to 1e-12 of <|g|, conv(|x|, |w|, |m|)>, which bounds every term
-    of the four sums, and db = g.sum((0, 2, 3)). Every mask kind, with and
-    without a bias, under every set of inputs the tape needs: exactly the
-    needed inputs get an adjoint."""
+    of the four sums, and db = g.sum((0, 2, 3)). With the ReLU epilogue,
+    the forward is against relu of the direct loop, equals relu of the
+    plain fast path bit for bit, and g in the identities is relu's select
+    of the seed. Every mask kind, with and without a bias, under every set
+    of inputs the tape needs: exactly the needed inputs get an adjoint."""
     rng, x, w, m, b = conv_arrays(case)
     s, p = case[0][6:]
+    relu_epilogue = case[3]
     if m is None or m.ndim == 2:
         ref, wb = conv2d_reference, (w if m is None else w * m)
         wabs = np.abs(wb)
@@ -361,15 +368,19 @@ def test_random_conv_geometry_matches_the_oracle(case):
     xt, wt, mt, bt = (None if a is None else Tensor(a) for a in (x, w, m, b))
     leaves = [t for t in (xt, wt, mt, bt) if t is not None]
 
-    def op(tape=None):
-        return conv2d(xt, wt, bt, s, p, tape, mask=mt)
+    def op(tape=None, relu_out=relu_epilogue):
+        return conv2d(xt, wt, bt, s, p, tape, mask=mt, relu=relu_out)
 
     want = ref(x, wb, b, stride=s, padding=p)
-    out = op().data
+    pre, out = op(relu_out=False).data, op().data
+    if relu_epilogue:
+        want = np.maximum(want, 0.0)
+        assert out.tobytes() == np.maximum(pre, 0.0).tobytes()
     assert np.max(np.abs(out - want)) < 1e-12
 
-    g = rng.normal(size=out.shape)
-    conv_part = out if b is None else out - b[:, None, None]
+    seed = rng.normal(size=out.shape)
+    g = np.where(out == 0.0, 0.0, seed) if relu_epilogue else seed
+    conv_part = pre if b is None else pre - b[:, None, None]
     lhs = float(np.sum(g * conv_part))
     scale = float(np.sum(np.abs(g) * ref(np.abs(x), wabs, None, stride=s, padding=p)))
     for r in range(1, len(leaves) + 1):
@@ -378,7 +389,7 @@ def test_random_conv_geometry_matches_the_oracle(case):
                 t.grad = None
             tape = GradTape(wrt=wrt)
             y = op(tape)
-            tape.backward(y, seed=g)
+            tape.backward(y, seed=seed)
             assert np.array_equal(y.data, out)
             assert [t.grad is not None for t in leaves] == [t in wrt for t in leaves]
             for t in wrt:
@@ -539,7 +550,9 @@ class TestActivations:
         np.where(x <= 0, 0.0, g) byte for byte, on every pairing of special
         x and g values (signed zeros and NaNs, infinities, subnormals) mixed
         with random ones, at 2-D and 0-d. The adjoint of a read-only,
-        transposed g is C-contiguous, and g is left as it was."""
+        transposed g is C-contiguous, and g is left as it was. add(a, b,
+        relu=True) is relu(add(a, b)) byte for byte, output and both
+        adjoints, on the same pairings with b drawn from the same values."""
         special = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
                    5e-324, -5e-324, 1e-310, -1e-310, 1.5, -1.5]
         rng = np.random.default_rng(16)
@@ -561,6 +574,20 @@ class TestActivations:
         assert not np.signbit(dx[x <= 0]).any()
         assert h.tobytes() == before
 
+        def fused_add_is_relu_of_add(a, b, g):
+            fused_tape, tape = GradTape(), GradTape()
+            with np.errstate(invalid="ignore"):  # inf + -inf is NaN on both paths
+                fused = add(Tensor(a), Tensor(b), fused_tape, relu=True)
+                out = relu(add(Tensor(a), Tensor(b), tape), tape)
+            assert fused.data.shape == out.data.shape
+            assert fused.data.tobytes() == out.data.tobytes()
+            (dsum,) = tape.records[-1][2](g)
+            for da in fused_tape.records[-1][2](g):
+                assert da.tobytes() == tape.records[-2][2](dsum)[0].tobytes()
+
+        fused_add_is_relu_of_add(x, rng.permutation(xs).reshape(15, 20), g)
+        assert h.tobytes() == before
+
         for xv in special:
             for gv in special:
                 tape = GradTape()
@@ -570,6 +597,7 @@ class TestActivations:
                 (dx,) = tape.records[-1][2](np.array(gv))
                 assert dx.shape == ()
                 assert dx.tobytes() == np.where(xv <= 0, 0.0, gv).tobytes()
+                fused_add_is_relu_of_add(xv, gv, np.array(xv))
 
     def test_softplus_value_and_grad(self):
         x = Tensor([-700.0, -1.0, 0.0, 1.0, 700.0])
@@ -854,6 +882,7 @@ def taped_calls():
     s = Tensor(rng.uniform(0.5, 2.0, size=2))
     return {
         ("conv2d", None): lambda t: conv2d(x, w, b, 1, 1, t),
+        ("conv2d", "relu"): lambda t: conv2d(x, w, b, 1, 1, t, relu=True),
         ("conv2d", "shared"): lambda t: conv2d(x, w, b, 1, 1, t, Tensor(rng.uniform(size=(3, 3)))),
         ("conv2d", "per_sample"): lambda t: conv2d(
             x, w, b, 1, 1, t, Tensor(rng.uniform(size=(2, 3, 3)))),
@@ -864,6 +893,7 @@ def taped_calls():
         ("softplus", None): lambda t: softplus(z, t),
         ("softmax_cross_entropy", None): lambda t: softmax_cross_entropy(z, np.array([0, 2]), t),
         ("add", None): lambda t: add(z, z, t),
+        ("add", "relu"): lambda t: add(z, Tensor(rng.normal(size=(2, 3))), t, relu=True),
         ("mul", None): lambda t: mul(z, z, t),
         ("concat_cols", None): lambda t: concat_cols(z, z, t),
         ("take_column", None): lambda t: take_column(z, 1, t),
@@ -875,7 +905,11 @@ def taped_calls():
     }
 
 
-OP_MODES = {"global_pool": ("max", "avg"), "conv2d": (None, "shared", "per_sample")}
+OP_MODES = {
+    "global_pool": ("max", "avg"),
+    "conv2d": (None, "shared", "per_sample", "relu"),
+    "add": (None, "relu"),
+}
 NAMED_OPS = [
     (tensor, name, mode)
     for name in tensor.__all__

@@ -1,11 +1,15 @@
 """Training loop, schedules, metrics, and evaluation."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import gmconv
 import gmconv.train as train_module
 from gmconv.checkpoint import load_checkpoint, restore_model
 from gmconv.data import CIFAR_TEST_FILES, CIFAR_TRAIN_FILES, DATASET_IDS, DataError, load_dataset
@@ -291,6 +295,31 @@ class TestOutputs:
     def test_history_covers_every_epoch(self):
         history, _ = train(replace(TINY, epochs=3))
         assert [m.epoch for m in history] == [1, 2, 3]
+
+    def test_blas_thread_count_changes_no_byte(self, tmp_path):
+        """One epoch of a synthetic resnet20-slim at width 0.25, static and
+        all-dynamic, trained by `gmconv train` in child processes under one
+        and under two OpenBLAS threads: each pair writes byte-identical
+        metrics.csv and last.ckpt."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gmconv.__file__)))
+        for mode in ("static", "dynamic"):
+            cfg = replace(TINY, model="resnet20-slim", width=0.25, epochs=1,
+                          policy=ConvPolicy(mode, mode))
+            config = tmp_path / f"{mode}.json"
+            config.write_text(config_to_json(cfg))
+            outs = []
+            for threads in ("1", "2"):
+                outs.append(tmp_path / f"{mode}-{threads}")
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+                proc = subprocess.run(
+                    [sys.executable, "-m", "gmconv.cli", "train", "--config", str(config),
+                     "--out", str(outs[-1])],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+                assert proc.returncode == 0, proc.stderr
+            for name in ("metrics.csv", "last.ckpt"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (mode, name)
 
 
 class TestDivergenceAbort:
