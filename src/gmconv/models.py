@@ -469,7 +469,10 @@ class _ResidualBlock:
     convs and the input. Both ReLUs run inside the op before them: conv1
     is built with the ReLU epilogue and the shortcut add takes
     `relu=True`, so the block records no relu op and no raw conv1 output
-    or residual sum is ever stored."""
+    or residual sum is ever stored. The add writes its clamped sum over
+    conv2's fresh output (`inplace=True`), which no backward reads, so the
+    raw conv2 output is never stored either: it becomes the block's
+    output."""
 
     children = ("conv1", "conv2")
 
@@ -478,17 +481,12 @@ class _ResidualBlock:
         self.conv2 = conv2
 
     def forward(self, x, tape=None):
-        # h stays referenced until the add has allocated the block's output.
-        # Freed before, it and conv2's output leave the heap top free, which
-        # malloc trims and the next block faults back in: a tape-free forward
-        # then takes about twice the page faults and runs slower.
-        h = self.conv1.forward(x, tape)
-        y = self.conv2.forward(h, tape)
+        y = self.conv2.forward(self.conv1.forward(x, tape), tape)
         if self.conv1.stride == 1:  # the spec check keeps a stride-1 block's width
             shortcut = x
         else:
             shortcut = downsample_pad(x, self.conv1.weight.data.shape[0], tape)
-        return add(y, shortcut, tape, relu=True)
+        return add(y, shortcut, tape, relu=True, inplace=True)
 
     def param_items(self):
         return []

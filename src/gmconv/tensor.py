@@ -34,8 +34,8 @@ whatever the chunks; dW carries its running sum over the batch from chunk
 to chunk. ``conv2d`` takes one O x C x K x K weight and an optional mask
 over its taps: a K x K mask scales each tap matrix once, W_t * M[t], for
 the whole batch, and an N x K x K mask scales sample n's, W_t * M[n, t], a
-chunk at a time. The direct-loop references are internal oracles; the
-paths agree to near machine precision.
+chunk at a time. The test suite holds direct-loop oracles of both, which
+the conv matches to near machine precision.
 
 ``relu`` clamps with one ``np.maximum`` and selects its adjoint bit for
 bit by the output it kept (``_relu_adjoint``). ``conv2d`` and ``add`` take
@@ -44,6 +44,10 @@ only a ReLU reads is never stored: the conv clamps each batch chunk right
 after its bias add, while the chunk is still in cache, the add clamps its
 fresh sum in place, and either backward first selects its adjoint with
 ``_relu_adjoint``. The output is relu of the plain op's, bit for bit.
+A plain conv's backward reads nothing of its output, so ``add`` can take
+``inplace=True`` to write the sum over a fresh output that only a tape
+record still holds: a residual block stores its conv2 output and its
+block output as one buffer.
 """
 
 from __future__ import annotations
@@ -54,8 +58,6 @@ __all__ = [
     "Tensor",
     "GradTape",
     "conv2d",
-    "conv2d_reference",
-    "conv2d_per_sample_reference",
     "global_pool",
     "dense",
     "relu",
@@ -392,57 +394,19 @@ def conv2d(
                          f"got {md.shape}")
     need = None if tape is None else (tape.needs(x), tape.needs(w), tape.needs(mask), tape.needs(b))
     y = _conv_forward(xd, wd, md, bdat, stride, padding, ho, wo, relu)
+    # only the ReLU select reads the output, so a plain conv's closure keeps none of it
+    clamped = y if relu else None
 
     def backward(g: np.ndarray):
-        return _conv_grads(_relu_adjoint(g, y) if relu else g, xd, wd, md, stride, padding, *need)
+        g = g if clamped is None else _relu_adjoint(g, clamped)
+        return _conv_grads(g, xd, wd, md, stride, padding, *need)
 
     return _result(y, tape, (x, w, mask, b), backward)
-
-
-def conv2d_reference(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, stride: int = 1, padding: int = 0
-) -> np.ndarray:
-    """Direct-loop convolution on raw arrays; the internal oracle path.
-
-    Same contract as conv2d's forward, written with explicit loops; it
-    shares only the input checks with the fast path and computes its own
-    output extent, so a bug in the fast path cannot hide here.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    bdat = None if b is None else np.asarray(b, dtype=np.float64)
-    n, _, h, wdt, o, k, _, _ = _conv_checks(x, w, bdat, stride, padding)
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (wdt + 2 * padding - k) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((n, o, ho, wo))
-    for ni in range(n):
-        for oi in range(o):
-            for yi in range(ho):
-                for xi in range(wo):
-                    patch = xp[ni, :, yi * stride : yi * stride + k, xi * stride : xi * stride + k]
-                    acc = float(np.sum(patch * w[oi]))
-                    if bdat is not None:
-                        acc += bdat[oi]
-                    out[ni, oi, yi, xi] = acc
-    return out
 
 
 def conv2d_per_sample(x, w, m, b=None, stride=1, padding=0, tape=None) -> Tensor:
     """`conv2d` under the mask `m`; the benchmark's tracer still binds this name."""
     return conv2d(x, w, b, stride, padding, tape, m)
-
-
-def conv2d_per_sample_reference(
-    x: np.ndarray, wb: np.ndarray, b: np.ndarray | None = None, stride: int = 1, padding: int = 0
-) -> np.ndarray:
-    """Normative per-sample loop: convolve each sample with its own kernel."""
-    x = np.asarray(x, dtype=np.float64)
-    wb = np.asarray(wb, dtype=np.float64)
-    outs = []
-    for ni in range(x.shape[0]):
-        outs.append(conv2d_reference(x[ni : ni + 1], wb[ni], b, stride, padding))
-    return np.concatenate(outs, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +534,22 @@ def softmax_cross_entropy(
 # structural ops
 
 
-def add(a: Tensor, b: Tensor, tape: GradTape | None = None, relu: bool = False) -> Tensor:
+def add(a: Tensor, b: Tensor, tape: GradTape | None = None, relu: bool = False,
+        inplace: bool = False) -> Tensor:
     """Elementwise a + b. With `relu`, the sum is clamped in place to
     relu(a + b), bit for bit, and the backward hands both inputs `relu`'s
-    select of its adjoint; the raw sum is never stored."""
+    select of its adjoint; the raw sum is never stored. With `inplace`, the
+    sum and any clamp are written over a's own buffer, which the output
+    shares (a one-element sum excepted); bits and backward are unchanged.
+    The caller keeps its precondition: `a` is a fresh op output that no
+    backward closure reads and no caller reads again."""
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
+    # numpy runs a one-element in-place add as a reduction, which gives a sum
+    # of two NaNs b's sign bit, not a's, so that size keeps a fresh buffer;
     # out= keeps a 0-d sum an array, which the in-place clamp writes to
-    y = np.add(a.data, b.data, out=np.empty(a.data.shape))
+    into = a.data if inplace and a.data.size > 1 else np.empty(a.data.shape)
+    y = np.add(a.data, b.data, out=into)
     if relu:
         np.maximum(y, 0.0, out=y)
 

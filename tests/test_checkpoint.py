@@ -326,3 +326,35 @@ def test_unknown_spec_key_is_refused(every_op_checkpoint, where, value, match):
     (hlen,) = struct.unpack("<I", mutated[4:8])
     with pytest.raises(ValueError, match=match):
         spec_from_json(json.dumps(json.loads(mutated[8 : 8 + hlen])["spec"]))
+
+
+@pytest.fixture(scope="module")
+def dynamic_resnet_checkpoint(tmp_path_factory):
+    """The bytes of a saved all-dynamic resnet20-slim at width 0.25, and a
+    scratch path."""
+    spec = apply_policy(build_model("resnet20-slim", 10, width=0.25),
+                        ConvPolicy("dynamic", "dynamic"))
+    root = tmp_path_factory.mktemp("resnet-dynamic")
+    path = root / "model.ckpt"
+    save_checkpoint(checkpoint_from_model(Model(spec, np.random.default_rng(0))), str(path))
+    return path.read_bytes(), root / "bad.ckpt"
+
+
+@given(data=st.data())
+def test_any_truncation_or_bit_flip_restores_or_is_a_data_error(dynamic_resnet_checkpoint, data):
+    """A saved checkpoint cut at any length, or with any one bit flipped
+    (magic, header length, header JSON or payload), either loads and
+    restores, or is refused with a DataError, which `gmconv eval` reports
+    as exit 3."""
+    raw, bad = dynamic_resnet_checkpoint
+    if data.draw(st.booleans(), label="truncate"):
+        mutated = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        mutated = bytearray(raw)
+        mutated[bit // 8] ^= 1 << bit % 8
+    bad.write_bytes(mutated)
+    try:
+        restore_model(load_checkpoint(str(bad)))
+    except DataError:
+        assert main(["eval", "--ckpt", str(bad)]) == 3

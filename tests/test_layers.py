@@ -22,12 +22,11 @@ from gmconv.tensor import (
     GradTape,
     Tensor,
     conv2d,
-    conv2d_reference,
     mul,
     softmax_cross_entropy,
     tsum,
 )
-from util import num_grad
+from util import conv2d_reference, num_grad
 
 
 def make_static(rng, o=2, c=3, k=3, sigma=5.0, stride=1, padding=1):

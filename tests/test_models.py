@@ -1,6 +1,7 @@
 """Model specs, policy rewriting, accounting, and the runtime network."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,13 +354,14 @@ class TestRuntimeModel:
 
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
     def test_block_tape_holds_no_pre_activation(self, mode):
-        """A taped forward of a residual block keeps neither the raw conv1
-        output nor the raw residual sum alive: at the block's activation
-        shape its records hold four arrays (the input, conv1's output after
-        its ReLU, conv2's output and the block's output), none of them a
-        pre-activation, and the output is relu of the residual sum bit for
-        bit. The pre-activations are recomputed tape-free, conv1's with its
-        ReLU epilogue switched off."""
+        """A taped forward of a residual block keeps no raw conv1 output,
+        raw conv2 output or raw residual sum alive: at the block's
+        activation shape its records hold three arrays (the input, conv1's
+        output after its ReLU, and the block's output, which the shortcut
+        add wrote over conv2's output), none of them a pre-activation, and
+        the output is relu of the residual sum bit for bit. The
+        pre-activations are recomputed tape-free, conv1's with its ReLU
+        epilogue switched off."""
         inner = tuple(LayerSpec(op="conv", role="body", in_channels=4, out_channels=4,
                                 kernel_size=3, padding=1) for _ in range(2))
         spec = ModelSpec("block", 3, (4, 6, 6), (
@@ -375,6 +377,9 @@ class TestRuntimeModel:
         block, x = model.modules[0], Tensor(rng.normal(size=(2, 4, 6, 6)))
         tape = GradTape()
         out = block.forward(x, tape).data
+        conv2_out = next(rec_out for rec_out, inputs, _ in tape.records
+                         if len(inputs) > 1 and inputs[1] is block.conv2.weight)
+        assert conv2_out.data is out
 
         block.conv1.relu = False
         pre_conv1 = block.conv1.forward(x).data
@@ -384,9 +389,32 @@ class TestRuntimeModel:
         assert out.tobytes() == np.maximum(pre_sum, 0.0).tobytes()
         held = {id(t.data): t.data for rec_out, inputs, _ in tape.records
                 for t in (rec_out, *inputs) if t is not None and t.data.shape == x.data.shape}
-        assert len(held) == 4
+        assert len(held) == 3
         for a in held.values():
             assert not np.array_equal(a, pre_conv1) and not np.array_equal(a, pre_sum)
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_taped_forward_live_bytes_stay_bounded(self, mode):
+        """After a taped resnet20-slim forward (width 0.25, batch 32), the
+        bytes left live are at most 14.5 stage-1 activations (32 x 4 x 32 x
+        32 floats, 1 MiB each). By shape the tape holds 13.25 of them: the
+        stem conv's output and its ReLU, each block's clamped conv1 output
+        and its output (conv2's, overwritten by the shortcut sum), and the
+        two shortcut pads; parameters, masks and the sigma heads take the
+        rest. Keeping each block's raw conv2 output as well adds 5.25."""
+        spec = apply_policy(build_model("resnet20-slim", 10, width=0.25), ConvPolicy(mode, mode))
+        model = Model(spec, np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).normal(size=(32, 3, 32, 32)))
+        tracemalloc.start()
+        try:
+            tape = GradTape(wrt=[t for _, t in model.named_parameters()])
+            model.forward(x, tape)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        activation = 32 * 4 * 32 * 32 * 8
+        assert model.modules[0].weight.data.shape[0] == 4
+        assert live <= 14.5 * activation
 
     def test_sigma_items_enumerated_in_order(self):
         spec = apply_policy(build_model("resnet20-slim", 10, width=0.25),

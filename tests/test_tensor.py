@@ -19,8 +19,6 @@ from gmconv.tensor import (
     concat_cols,
     conv2d,
     conv2d_per_sample,
-    conv2d_per_sample_reference,
-    conv2d_reference,
     dense,
     downsample_pad,
     global_pool,
@@ -32,7 +30,7 @@ from gmconv.tensor import (
     take_column,
     tsum,
 )
-from util import num_grad
+from util import conv2d_per_sample_reference, conv2d_reference, num_grad
 
 
 # (N, C, H, W, O, K, stride, padding) of the fast-vs-direct-loop oracle
@@ -678,6 +676,37 @@ class TestStructuralOps:
         b = Tensor([3.0, 5.0])
         np.testing.assert_array_equal(add(a, b).data, [4.0, 7.0])
         np.testing.assert_array_equal(mul(a, b).data, [3.0, 10.0])
+
+    @pytest.mark.parametrize("clamp", [False, True], ids=["plain", "relu"])
+    def test_inplace_add_matches_the_out_of_place_add_bit_for_bit(self, clamp):
+        """add(a, b, inplace=True) writes its sum over a's buffer, and its
+        output shares that buffer, tape-free and taped; a one-element sum,
+        which numpy would run as a reduction, gets a fresh buffer. Its
+        output and both adjoints equal the out-of-place add's byte for
+        byte, with and without the ReLU clamp, on every pairing of special
+        values (signed zeros and NaNs, infinities, a subnormal), in a 2-D
+        array and at 0-d."""
+        special = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
+                   5e-324, 1.5, -1.5]
+        rng = np.random.default_rng(24)
+        pairs = [(np.concatenate([np.repeat(special, 9), rng.normal(size=19)]).reshape(10, 10),
+                  np.concatenate([np.tile(special, 9), rng.normal(size=19)]).reshape(10, 10))]
+        pairs += [(np.array(u), np.array(v)) for u in special for v in special]
+        for a, b in pairs:
+            g = rng.permutation(np.concatenate([a.reshape(-1), b.reshape(-1)]))[: a.size]
+            g = g.reshape(a.shape)
+            with np.errstate(invalid="ignore"):  # inf + -inf is NaN on both paths
+                want_tape = GradTape()
+                want = add(Tensor(a), Tensor(b), want_tape, relu=clamp)
+                for tape in (None, GradTape()):
+                    into = Tensor(a.copy())
+                    out = add(into, Tensor(b), tape, relu=clamp, inplace=True)
+                    assert (out.data is into.data) == (a.size > 1)
+                    assert out.data.shape == a.shape
+                    assert out.data.tobytes() == want.data.tobytes()
+            adjoints = zip(tape.records[-1][2](g), want_tape.records[-1][2](g), strict=True)
+            for got, expected in adjoints:
+                assert got.tobytes() == expected.tobytes()
 
     def test_concat_and_take_column(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))

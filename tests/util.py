@@ -5,6 +5,45 @@ import struct
 
 import numpy as np
 
+from gmconv.tensor import _conv_checks
+
+
+def conv2d_reference(x, w, b=None, stride=1, padding=0):
+    """Direct-loop convolution on raw arrays: the oracle of `conv2d`.
+
+    Same contract as conv2d's forward, written with explicit loops; it
+    shares only the input checks with the fast path and computes its own
+    output extent, so a bug in the fast path cannot hide here.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    bdat = None if b is None else np.asarray(b, dtype=np.float64)
+    n, _, h, wdt, o, k, _, _ = _conv_checks(x, w, bdat, stride, padding)
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (wdt + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros((n, o, ho, wo))
+    for ni in range(n):
+        for oi in range(o):
+            for yi in range(ho):
+                for xi in range(wo):
+                    patch = xp[ni, :, yi * stride : yi * stride + k, xi * stride : xi * stride + k]
+                    acc = float(np.sum(patch * w[oi]))
+                    if bdat is not None:
+                        acc += bdat[oi]
+                    out[ni, oi, yi, xi] = acc
+    return out
+
+
+def conv2d_per_sample_reference(x, wb, b=None, stride=1, padding=0):
+    """Normative per-sample loop: convolve each sample with its own kernel."""
+    x = np.asarray(x, dtype=np.float64)
+    wb = np.asarray(wb, dtype=np.float64)
+    outs = []
+    for ni in range(x.shape[0]):
+        outs.append(conv2d_reference(x[ni : ni + 1], wb[ni], b, stride, padding))
+    return np.concatenate(outs, axis=0)
+
 
 def central_diff_scalar(f, x, h=1e-6):
     """Central difference of f at scalar x; f may return an array."""
