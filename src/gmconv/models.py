@@ -19,11 +19,14 @@ runs it to the end when built, and ``count_flops`` sums over it.
 layers' own shape rules (the sigma predictor's hidden width and arity
 included) are the only copy.
 
-A Model is a list of modules; a residual block names its two convs as
-children and reads its stride and widths from them. ``Model._walk``
-visits every module once, children after their block, and parameter
-naming, weight-decay selection, masked-layer listing and folding are all
-built on it.
+A Model is a list of modules, one per spec layer, made by one recursive
+builder (``_build_module``). A conv descriptor becomes its conv layer; a
+relu, pool or dense descriptor becomes a ``_TapeOp``, one tape op with its
+fixed arguments and named parameters; a block builds its two convs
+through the same builder, then sets them to start as the identity, and
+names them as children. ``Model._walk`` visits every module once,
+children after their block, and parameter naming, weight-decay
+selection, masked-layer listing and folding are all built on it.
 
 There is no batch normalization anywhere; He-style weight scales stand in
 for it so the op set stays small and every gradient stays checkable.
@@ -47,6 +50,7 @@ from .layers import (
     check_mask_start,
     fold_mask,
 )
+# dense, global_pool and relu are called by name, through _TapeOp
 from .tensor import GradTape, Tensor, add, conv_extent, dense, downsample_pad, global_pool, relu
 
 ROLES = ("stem", "body", "head")
@@ -284,15 +288,20 @@ _NETS = {
 }
 
 
+def check_net(name: str, width: float) -> None:
+    """The zoo's rule on a net request: `name` names a net of ``_NETS``
+    and `width` is a finite number > 0. Raises ValueError."""
+    if name not in _NETS:
+        raise ValueError(f"unknown model {name!r}, expected one of {tuple(_NETS)}")
+    if not (_conforms(width, float) and width > 0):
+        raise ValueError(f"width must be a finite number > 0, got {width!r}")
+
+
 def build_model(name: str, num_classes: int, width: float = 1.0) -> ModelSpec:
     """Construct the net `name` of ``_NETS`` as an all-plain spec on
     ``INPUT_SHAPE`` inputs with an avg-pool + dense head. `width` scales every
-    channel count of every net (rounded, at least 1) and must be a finite
-    number > 0."""
-    if name not in _NETS:
-        raise ValueError(f"unknown model {name!r}")
-    if not (_conforms(width, float) and width > 0):
-        raise ValueError(f"width must be a finite number > 0, got {width!r}")
+    channel count of every net (rounded, at least 1); see ``check_net``."""
+    check_net(name, width)
     layers: list[LayerSpec] = []
     c = INPUT_SHAPE[0]
     for i, (op, base, *geometry) in enumerate(_NETS[name]):
@@ -431,35 +440,22 @@ def spec_from_json(text: str) -> ModelSpec:
 # runtime model
 
 
-class _ReluOp:
-    def forward(self, x, tape=None):
-        return relu(x, tape)
+class _TapeOp:
+    """A spec layer that is one tape op: relu, a global pool or a dense
+    layer. `forward` calls the op on the input, its fixed `args` (a pool's
+    mode), its named `params` (a dense layer's weight and bias) and the
+    tape. The op is held by name and looked up in this module at each
+    call, so a wrapper patched over the module's function (a profiler's)
+    runs for models built before the patch and stops with it."""
 
-    def param_items(self):
-        return []
-
-
-class _GlobalPoolOp:
-    def __init__(self, mode: str):
-        self.mode = mode
-
-    def forward(self, x, tape=None):
-        return global_pool(x, self.mode, tape)
-
-    def param_items(self):
-        return []
-
-
-class _DenseOp:
-    def __init__(self, weight: Tensor, bias: Tensor):
-        self.weight = weight
-        self.bias = bias
+    def __init__(self, op: str, *args, **params: Tensor):
+        self.op, self.args, self.params = op, args, params
 
     def forward(self, x, tape=None):
-        return dense(x, self.weight, self.bias, tape)
+        return globals()[self.op](x, *self.args, *self.params.values(), tape)
 
     def param_items(self):
-        return [("weight", self.weight), ("bias", self.bias)]
+        return list(self.params.items())
 
 
 class _ResidualBlock:
@@ -497,7 +493,27 @@ def _he_normal(rng: np.random.Generator, *shape: int) -> Tensor:
     return Tensor(rng.normal(0.0, math.sqrt(2.0 / math.prod(shape[1:])), size=shape))
 
 
-def _build_conv_module(layer: LayerSpec, rng: np.random.Generator, relu: bool = False):
+def _build_module(layer: LayerSpec, rng: np.random.Generator, num_blocks: int, relu: bool = False):
+    """The runtime module of one spec layer, its parameters drawn from
+    `rng` in spec order. `num_blocks` is the spec's residual block count;
+    `relu` builds a conv with the ReLU epilogue."""
+    if layer.op == "block":
+        conv1 = _build_module(layer.inner[0], rng, num_blocks, relu=True)
+        conv2 = _build_module(layer.inner[1], rng, num_blocks)
+        # Blocks start as identities: with no normalization layers, zeroing
+        # the branch's last conv and shrinking the first by 1/sqrt(#blocks)
+        # keeps activation variance bounded at any depth. The draws above
+        # are kept so parameter streams stay aligned across conv policies.
+        conv1.weight.data *= num_blocks**-0.5
+        conv2.weight.data[:] = 0.0
+        return _ResidualBlock(conv1, conv2)
+    if layer.op == "relu":
+        return _TapeOp("relu")
+    if layer.op == "pool":
+        return _TapeOp("global_pool", layer.pool_mode)
+    if layer.op == "dense":
+        w = _he_normal(rng, layer.out_features, layer.in_features)
+        return _TapeOp("dense", weight=w, bias=Tensor(np.zeros(layer.out_features)))
     o, c, k = layer.out_channels, layer.in_channels, layer.kernel_size
     w = _he_normal(rng, o, c, k, k)
     b = Tensor(np.zeros(o))
@@ -518,29 +534,8 @@ class Model:
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         self.spec = spec
-        self.modules: list = []
-        num_blocks = max(1, sum(1 for l in spec.layers if l.op == "block"))
-        for layer in spec.layers:
-            if layer.op in CONV_OPS:
-                self.modules.append(_build_conv_module(layer, rng))
-            elif layer.op == "block":
-                c1 = _build_conv_module(layer.inner[0], rng, relu=True)
-                c2 = _build_conv_module(layer.inner[1], rng)
-                # Blocks start as identities: with no normalization layers,
-                # zeroing the branch's last conv and shrinking the first by
-                # 1/sqrt(#blocks) keeps activation variance bounded at any
-                # depth. The draws above are kept so parameter streams stay
-                # aligned across conv policies.
-                c1.weight.data *= num_blocks**-0.5
-                c2.weight.data[:] = 0.0
-                self.modules.append(_ResidualBlock(c1, c2))
-            elif layer.op == "relu":
-                self.modules.append(_ReluOp())
-            elif layer.op == "pool":
-                self.modules.append(_GlobalPoolOp(layer.pool_mode))
-            else:  # dense
-                w = _he_normal(rng, layer.out_features, layer.in_features)
-                self.modules.append(_DenseOp(w, Tensor(np.zeros(layer.out_features))))
+        num_blocks = sum(layer.op == "block" for layer in spec.layers)
+        self.modules = [_build_module(layer, rng, num_blocks) for layer in spec.layers]
 
     def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
         h = x

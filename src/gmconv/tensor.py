@@ -498,6 +498,21 @@ def softplus(x: Tensor, tape: GradTape | None = None) -> Tensor:
                    lambda g: (g * np.exp(-np.logaddexp(0.0, -x.data)),))
 
 
+def check_labels(labels, n: int, classes: int) -> np.ndarray:
+    """The label rule: one integer label per sample, an (n,) array with
+    every label in [0, classes). Returns `labels` as an array; raises
+    ValueError."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"labels shape {labels.shape} does not match {n} samples")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError("labels must be integers")
+    if np.any((labels < 0) | (labels >= classes)):
+        raise ValueError(f"labels must lie in [0, {classes}), got range "
+                         f"[{labels.min()}, {labels.max()}]")
+    return labels
+
+
 def softmax_cross_entropy(
     logits: Tensor, labels: np.ndarray, tape: GradTape | None = None
 ) -> Tensor:
@@ -508,15 +523,8 @@ def softmax_cross_entropy(
     z = logits.data
     if z.ndim != 2:
         raise ValueError(f"logits must be N x L, got {z.shape}")
-    labels = np.asarray(labels)
-    if labels.shape != (z.shape[0],):
-        raise ValueError(f"labels shape {labels.shape} does not match batch {z.shape[0]}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError("labels must be integers")
     n, l = z.shape
-    if labels.min() < 0 or labels.max() >= l:
-        raise ValueError(f"labels must lie in [0, {l}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
+    labels = check_labels(labels, n, l)
     shifted = z - z.max(axis=1, keepdims=True)
     logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logsum

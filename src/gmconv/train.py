@@ -30,17 +30,17 @@ from .checkpoint import (
 from .data import DataError, DatasetSource, augment_batch, load_dataset
 from .masks import clamp_sigma
 from .models import (
-    _NETS,
     INPUT_SHAPE,
     ConvPolicy,
     Model,
     apply_policy,
     build_model,
     check_field_types,
+    check_net,
     known_keys,
     spec_to_json,
 )
-from .tensor import GradTape, Tensor, softmax_cross_entropy
+from .tensor import GradTape, Tensor, check_labels, softmax_cross_entropy
 
 AUGMENT_MODES = ("none", "cifar-standard")
 
@@ -81,8 +81,10 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self, ConfigError)
-        if self.model not in _NETS:
-            raise ConfigError(f"unknown model {self.model!r}, expected one of {tuple(_NETS)}")
+        try:
+            check_net(self.model, self.width)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
         if self.augment not in AUGMENT_MODES:
             raise ConfigError(f"augment must be one of {AUGMENT_MODES}, got {self.augment!r}")
         if self.epochs < 1:
@@ -97,8 +99,6 @@ class TrainConfig:
             raise ConfigError("momentum must be in [0, 1)")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
-        if self.width <= 0:
-            raise ConfigError("width must be > 0")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         ms = self.milestones
@@ -198,14 +198,6 @@ def split_source(config: TrainConfig, split: str) -> DatasetSource:
     )
 
 
-def _check_compat(config: TrainConfig, labels: np.ndarray) -> None:
-    """Labels must fit the head, which CIFAR-100 files under num_classes=10 do not."""
-    if labels.size and int(labels.max()) >= config.num_classes:
-        raise ConfigError(
-            f"labels reach {int(labels.max())} but the head has {config.num_classes} classes"
-        )
-
-
 # ---------------------------------------------------------------------------
 # optimization
 
@@ -258,8 +250,13 @@ def train(
 
     train_images, train_labels = load_dataset(split_source(config, "train"))
     test_images, test_labels = load_dataset(split_source(config, "test"))
-    _check_compat(config, train_labels)
-    _check_compat(config, test_labels)
+    # labels must fit the head, which CIFAR-100 files under num_classes=10 do not
+    for split, images, labels in (("train", train_images, train_labels),
+                                  ("test", test_images, test_labels)):
+        try:
+            check_labels(labels, len(images), config.num_classes)
+        except ValueError as err:
+            raise ConfigError(f"{split} split: {err}") from err
 
     params = model.named_parameters()
     param_tensors = [t for _, t in params]
@@ -349,12 +346,7 @@ def evaluate_model(
     logits raise FloatingPointError (see `Model.predict`)."""
     if len(images) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    head = model.spec.num_classes
-    if int(labels.min()) < 0 or int(labels.max()) >= head:
-        raise ValueError(
-            f"labels span [{int(labels.min())}, {int(labels.max())}] but the "
-            f"head has {head} classes"
-        )
+    labels = check_labels(labels, len(images), model.spec.num_classes)
     correct = 0
     for start in range(0, len(images), batch_size):
         pred = model.predict(Tensor(images[start : start + batch_size]))

@@ -1,14 +1,20 @@
 """Model specs, policy rewriting, accounting, and the runtime network."""
 
 import hashlib
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gmconv.layers import DynamicGMConvLayer, StaticGMConvLayer
+from gmconv.checkpoint import checkpoint_from_model, load_checkpoint, restore_model, save_checkpoint
+from gmconv.layers import PATTERNS, DynamicGMConvLayer, StaticGMConvLayer
 from gmconv.models import (
     CONV_OPS,
+    MODES,
     ConvPolicy,
     LayerSpec,
     Model,
@@ -20,7 +26,7 @@ from gmconv.models import (
     spec_from_json,
     spec_to_json,
 )
-from gmconv.tensor import GradTape, Tensor, softmax_cross_entropy
+from gmconv.tensor import GradTape, Tensor, downsample_pad, softmax_cross_entropy
 from util import copy_shared_params, force_flat_masks
 
 
@@ -294,6 +300,41 @@ class TestRuntimeModel:
                 runtime = sum(t.data.size for _, t in model.named_parameters())
                 assert runtime == count_params(spec), (name, pol)
 
+    @pytest.mark.parametrize("net", ["resnet20-slim", "cnn-small", "alexnet-lite"])
+    def test_policy_twins_draw_the_same_weights(self, net):
+        """Std and static twins built from one seed hold bit-identical
+        weights and biases, name by name, so parameter streams stay aligned
+        across conv policies; the static twin adds exactly one sigma per
+        conv."""
+        spec = build_model(net, 10, width=0.25)
+        std, static = (
+            dict(Model(apply_policy(spec, ConvPolicy(m, m)), np.random.default_rng(3)).named_parameters())
+            for m in ("std", "static")
+        )
+        sigmas = [n.removesuffix(".sigma") for n in static if n.endswith(".sigma")]
+        convs = [n.removesuffix(".weight") for n, t in std.items() if t.data.ndim == 4]
+        assert sigmas == convs and len(convs) == len(conv_kinds(spec))
+        assert list(std) == [n for n in static if not n.endswith(".sigma")]
+        for name, t in std.items():
+            assert t.data.tobytes() == static[name].data.tobytes(), name
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fresh_blocks_start_as_the_identity(self, mode):
+        """Every fresh residual block maps x >= 0 to x bit for bit at
+        stride 1 and to downsample_pad(x) at stride 2: its conv2 weight is
+        all zero."""
+        spec = apply_policy(build_model("resnet20-slim", 10, width=0.25), ConvPolicy(mode, mode))
+        model = Model(spec, np.random.default_rng(4))
+        blocks = [m for m, layer in zip(model.modules, spec.layers) if layer.op == "block"]
+        rng = np.random.default_rng(5)
+        assert len(blocks) == 9
+        for block in blocks:
+            assert not block.conv2.weight.data.any()
+            out_c, in_c = block.conv1.weight.data.shape[:2]
+            x = Tensor(np.abs(rng.normal(size=(2, in_c, 7, 7))))
+            want = x if block.conv1.stride == 1 else downsample_pad(x, out_c)
+            assert block.forward(x).data.tobytes() == want.data.tobytes()
+
     def test_seeded_init_is_deterministic(self):
         spec = apply_policy(build_model("cnn-small", 10), ConvPolicy())
         a = Model(spec, np.random.default_rng(7))
@@ -458,3 +499,69 @@ class TestRuntimeModel:
         np.testing.assert_array_equal(model.forward(x).data, before)
         assert isinstance(model.modules[0], DynamicGMConvLayer)
         assert not any(isinstance(m, StaticGMConvLayer) for m in model.modules)
+
+
+@st.composite
+def model_specs(draw):
+    """A valid ModelSpec under any ConvPolicy: a stem conv (K 1-5, stride
+    1-2, padding 0-2) and its relu on a C 1-3, H and W 4-12 input, then
+    0-3 residual blocks of stride 1 or 2, each optionally followed by a
+    body conv and relu, then an avg or max pool and a dense head."""
+    k, stride, pad = draw(st.integers(1, 5)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    side = st.integers(max(4, k - 2 * pad), 12)
+    c_in, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    layers = [LayerSpec("conv", "stem", c_in, c, k, stride, pad), LayerSpec("relu", "stem")]
+    for _ in range(draw(st.integers(0, 3))):
+        stride = draw(st.integers(1, 2))
+        out = c if stride == 1 else c + draw(st.integers(0, 2))
+        inner = (LayerSpec("conv", "body", c, out, 3, stride, 1), LayerSpec("conv", "body", out, out, 3, 1, 1))
+        layers.append(LayerSpec("block", "body", stride=stride, inner=inner))
+        c = out
+        if draw(st.booleans()):
+            k, out = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+            layers += [LayerSpec("conv", "body", c, out, k, 1, k // 2), LayerSpec("relu", "body")]
+            c = out
+    classes = draw(st.integers(2, 4))
+    layers += [
+        LayerSpec("pool", "head", pool_mode=draw(st.sampled_from(["avg", "max"]))),
+        LayerSpec("dense", "head", in_features=c, out_features=classes),
+    ]
+    spec = ModelSpec("drawn", classes, (c_in, draw(side), draw(side)), tuple(layers))
+    policy = ConvPolicy(
+        draw(st.sampled_from(MODES)), draw(st.sampled_from(MODES)),
+        draw(st.floats(0.5, 8.0)), draw(st.sampled_from(PATTERNS)),
+    )
+    return apply_policy(spec, policy)
+
+
+@given(spec=model_specs(), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_any_valid_spec_round_trips_counts_and_folds(spec, batch, seed):
+    """Every drawn spec: its JSON round-trips exactly, `count_params` is
+    its model's parameter count, a saved and reloaded checkpoint restores
+    every parameter bit for bit, and folding keeps the logits bit for bit
+    and leaves no static masked conv."""
+    text = spec_to_json(spec)
+    assert spec_to_json(spec_from_json(text)) == text
+    rng = np.random.default_rng(seed)
+    model = Model(spec, rng)
+    params = model.named_parameters()
+    assert count_params(spec) == sum(t.data.size for _, t in params)
+    # biases and each block's conv2 start at zero: draw them, so every
+    # parameter shapes the logits and a restore that skipped one would show
+    for _, t in params:
+        if not t.data.any():
+            scale = (1.0 / t.data[0].size) ** 0.5 if t.data.ndim > 1 else 0.1
+            t.data[...] = rng.normal(0.0, scale, size=t.data.shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        save_checkpoint(checkpoint_from_model(model), path)
+        restored = restore_model(load_checkpoint(path))
+    assert spec_to_json(restored.spec) == text
+    assert [(n, t.data.tobytes()) for n, t in restored.named_parameters()] == [
+        (n, t.data.tobytes()) for n, t in params
+    ]
+    x = Tensor(rng.normal(size=(batch, *spec.input_shape)))
+    before = model.forward(x).data
+    model.fold()
+    assert not any(isinstance(m, StaticGMConvLayer) for _, m in model.masked_layer_items())
+    assert model.forward(x).data.tobytes() == before.tobytes()

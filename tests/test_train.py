@@ -463,6 +463,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_model(model, images, np.array([0, 1, 2, 17]))
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 1, -1, 2, 3], [0], [[0]] * 5, [0.0] * 5],
+        ids=["negative", "one-for-five", "column", "float"],
+    )
+    def test_label_rule_violations_rejected(self, labels):
+        """One integer label per image, each below the head width: a
+        single label or an N x 1 column must not broadcast against the
+        predictions."""
+        with pytest.raises(ValueError, match="labels"):
+            evaluate_model(tiny_eval_model(), np.zeros((5, 3, 16, 16)), np.array(labels))
+
     def test_batching_does_not_change_the_answer(self):
         model = tiny_eval_model()
         rng = np.random.default_rng(5)
@@ -489,14 +501,16 @@ class TestEvaluate:
 
 
 class TestCompatibilityChecks:
-    def test_label_overflow_rejected(self):
+    def test_label_overflow_rejected(self, tmp_path):
         """A dataset whose labels exceed the configured head width is a
         config problem (for example CIFAR-100 files with num_classes=10)."""
-        from gmconv.train import _check_compat
+        from test_data import write_cifar_batch
 
-        cfg = replace(TINY, num_classes=10)
+        for name in ("train.bin", "test.bin"):
+            write_cifar_batch(str(tmp_path / name), 4, label_bytes=2, label_fn=[0, 5, 99, 1].__getitem__)
+        cfg = replace(TINY, width=0.25, dataset="cifar100-bin", data_root=str(tmp_path), num_classes=10)
         with pytest.raises(ConfigError) as err:
-            _check_compat(cfg, np.array([0, 5, 99, 1]))
+            train(cfg)
         assert "99" in str(err.value)
 
     def test_cifar_root_missing_raises_data_error(self, tmp_path):
