@@ -21,21 +21,23 @@ probe wants the input's adjoint and no weight's; a training step wants
 the parameters' and not the image's). ``GradTape()`` keeps every op and
 gives every input an adjoint.
 
-Convolution is flat-shift: the input is padded onto flat per-sample
-grids, and each kernel tap is a zero-copy slice of them, so the forward is
-K*K GEMMs ``out += W_t @ slice_t`` and no column matrix is built; the
-backward adds ``W_t^T @ g`` into the same slices. The whole conv, forward
-and gradients, runs one batch chunk at a time: a chunk holds as many
-samples as keep the output accumulator and the phase grids within
-``_BLOCK_BYTES`` (about an L2 cache), so all K*K taps reuse data that is
-already in cache, and nothing full-batch is built but the input, the
-output adjoint and the results. Every value is summed in the same order
-whatever the chunks; dW carries its running sum over the batch from chunk
-to chunk. ``conv2d`` takes one O x C x K x K weight and an optional mask
-over its taps: a K x K mask scales each tap matrix once, W_t * M[t], for
-the whole batch, and an N x K x K mask scales sample n's, W_t * M[n, t], a
-chunk at a time. The test suite holds direct-loop oracles of both, which
-the conv matches to near machine precision.
+Convolution is flat-shift: the input is padded onto flat per-sample grids,
+and each kernel tap is a zero-copy slice of them, so the forward is K*K
+GEMMs ``out += W_t @ slice_t`` and no column matrix is built. dX is the
+same tap sum, ``W_t^T @ g_t`` over each phase grid's own taps, with
+``g_t`` a slice of the zero-padded output adjoint shifted back by the
+tap's offset. The whole conv, forward and gradients, runs one batch chunk
+at a time: a chunk holds as many samples as keep the output accumulator
+and the phase grids within ``_BLOCK_BYTES`` (about an L2 cache), so all
+K*K taps reuse data that is already in cache, and nothing full-batch is
+built but the input, the output adjoint and the results. Every value is
+summed in the same order whatever the chunks; dW carries its running sum
+over the batch from chunk to chunk. ``conv2d`` takes one O x C x K x K
+weight and an optional mask over its taps: a K x K mask scales each tap
+matrix once, W_t * M[t], for the whole batch, and an N x K x K mask scales
+sample n's, W_t * M[n, t], a chunk at a time. The test suite holds
+direct-loop oracles of both, which the conv matches to near machine
+precision.
 
 ``relu`` clamps with one ``np.maximum`` and selects its adjoint bit for
 bit by the output it kept (``_relu_adjoint``). ``conv2d`` and ``add`` take
@@ -261,6 +263,17 @@ def _weight_taps(wd: np.ndarray, md):
     return wt.copy(), None if md is None else np.moveaxis(md, 0, -1)
 
 
+def _tap_sum(terms, acc: np.ndarray, prod: np.ndarray) -> None:
+    """acc = the sum of `A @ src[..., off : off + L]` over the (A, src, off)
+    terms, in their order, starting from zero; L is acc's last extent and
+    prod is scratch of acc's shape. The conv's forward and dX both run it."""
+    span = acc.shape[-1]
+    acc[...] = 0
+    for a, src, off in terms:
+        np.matmul(a, src[..., off : off + span], out=prod)
+        acc += prod
+
+
 def _conv_forward(xd, wd, md, bdat, stride: int, padding: int, ho: int, wo: int,
                   relu: bool = False) -> np.ndarray:
     """Sum of `W_t @ slice_t` over taps, one batch chunk at a time; W_t is
@@ -279,10 +292,7 @@ def _conv_forward(xd, wd, md, bdat, stride: int, padding: int, ho: int, wo: int,
         _to_grids(xd[a : a + m], grids[:, :m], phases)
         flat = grids[:, :m].reshape(s * s, m, c, hg * wg)
         w_taps = wt if mt is None else wt[:, :, None] * mt[:, :, a : a + m, None, None]
-        acc[:m] = 0
-        for i, j, ph, off in taps:
-            np.matmul(w_taps[i, j], flat[ph, :, :, off : off + span], out=prod[:m])
-            acc[:m] += prod[:m]
+        _tap_sum([(w_taps[i, j], flat[ph], off) for i, j, ph, off in taps], acc[:m], prod[:m])
         res = acc[:m].reshape(m, o, ho, wg)[..., :wo]
         if bdat is None:
             out[a : a + m] = res
@@ -298,7 +308,12 @@ def _conv_grads(g: np.ndarray, xd, wd, md, stride: int, padding: int,
     """(dx, dw, dm, db) of `_conv_forward` for the output adjoint g, one
     batch chunk at a time. An adjoint that is not needed (dm or db always,
     without a mask or a bias) is not computed and comes back as None. The
-    grids are rebuilt, not kept alive by the closure. The tap products
+    grids are rebuilt, not kept alive by the closure. dx runs through the
+    forward's `_tap_sum`: each tap reads exactly one phase grid, so the
+    interior rows of phase grid ph are the sum, in tap order, of
+    `W_t^T @ g_t` over the taps t of ph, with g_t the output adjoint at the
+    grids' row pitch shifted back by t's flat offset; the adjoint's zero
+    padding stands in for the outputs a tap never reaches. The tap products
     P_n = g_n @ slice_t^T are summed in sample order whatever the chunks,
     carried in slot 0 of their buffer. Under an N x K x K mask,
     dm[n, t] = <P_n, W_t> and each P_n is scaled by md[n, t] before the sum;
@@ -311,23 +326,22 @@ def _conv_grads(g: np.ndarray, xd, wd, md, stride: int, padding: int,
     (n, o, ho, wo), c, s, k = g.shape, xd.shape[1], stride, wd.shape[-1]
     per_sample = md is not None and md.ndim == 3
     hg, wg, taps, phases, chunk = _conv_plan(xd.shape, o, k, s, padding, ho, wo)
-    span = ho * wg
-    gpad = np.zeros((chunk, o, ho, wg))
+    span, lead = ho * wg, taps[-1][3]
+    # g at the grids' row pitch behind `lead` zeros, so that every tap's
+    # shifted slice over a phase grid's interior stays in bounds
+    gpad = np.zeros((chunk, o, lead + hg * wg))
     if need_w or need_m:
         grids = np.zeros((s * s, chunk, c, hg, wg))
         prods = np.empty((chunk + 1, k, k, o, c))
         dm = np.empty((n, k, k)) if need_m and per_sample else None
     if need_x:
         dx = np.empty(xd.shape)
-        dgrids = np.empty((s * s, chunk, c, hg * wg))
-        # tap products at the grid's row pitch; the zero tail of each row
-        # lets a tap's add run over one contiguous range
-        prod = np.zeros((chunk, c, hg * wg))
+        bufs = np.empty((2, chunk * c * hg * wg))
         wt, mt = _weight_taps(wd, md)
     for a in range(0, n, chunk):
         m = min(chunk, n - a)
-        gpad[:m, :, :, :wo] = g[a : a + m]
-        gg = gpad[:m].reshape(m, o, span)
+        gg = gpad[:m, :, lead : lead + span]
+        gg.reshape(m, o, ho, wg)[..., :wo] = g[a : a + m]
         if need_w or need_m:
             _to_grids(xd[a : a + m], grids[:, :m], phases)
             flat = grids[:, :m].reshape(s * s, m, c, hg * wg)
@@ -344,17 +358,14 @@ def _conv_grads(g: np.ndarray, xd, wd, md, stride: int, padding: int,
                 prods[0] += prods[r]
         if need_x:
             w_taps = wt if mt is None else wt[:, :, None] * mt[:, :, a : a + m, None, None]
-            dg = dgrids[:, :m].reshape(s * s, -1)
-            dg[...] = 0
-            lines = (m * c - 1) * hg * wg + span
-            tail = prod[:m].reshape(-1)[:lines]
-            for i, j, ph, off in taps:
-                np.matmul(w_taps[i, j].swapaxes(-1, -2), gg, out=prod[:m, :, :span])
-                dg[ph, off : off + lines] += tail
-            # each phase's interior goes back to the input lines it came from
-            dg = dg.reshape(s * s, m, c, hg, wg)
-            for ph, src, dst in phases:
-                dx[a : a + m][src] = dg[ph][dst]
+            # each phase grid's interior rows gather their own taps, in tap
+            # order, then go back to the input lines they came from
+            for ph, src, (_, rows, cols) in phases:
+                z, n_rows = lead + rows.start * wg, rows.stop - rows.start
+                acc, prod = bufs[:, : m * c * n_rows * wg].reshape(2, m, c, n_rows * wg)
+                _tap_sum([(w_taps[i, j].swapaxes(-1, -2), gpad[:m], z - off)
+                          for i, j, p, off in taps if p == ph], acc, prod)
+                dx[a : a + m][src] = acc.reshape(m, c, n_rows, wg)[..., cols]
     if md is not None and not per_sample:
         if need_m:
             dm = np.einsum("kloc,ockl->kl", prods[0], wd)

@@ -129,7 +129,11 @@ def config_from_json(text: str) -> TrainConfig:
     kwargs = {k: _tuples(v) for k, v in known_keys(raw, names, "config", ConfigError).items()}
     if "policy" in kwargs:
         names = [f.name for f in fields(ConvPolicy)]
-        kwargs["policy"] = ConvPolicy(**known_keys(kwargs["policy"], names, "policy", ConfigError))
+        policy = known_keys(kwargs["policy"], names, "policy", ConfigError)
+        try:
+            kwargs["policy"] = ConvPolicy(**policy)
+        except ValueError as err:
+            raise ConfigError(f"policy: {err}") from err
     return TrainConfig(**kwargs)
 
 

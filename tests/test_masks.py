@@ -191,6 +191,22 @@ class TestCircularGrad:
         np.testing.assert_array_equal(g, want)
         assert np.any(g != 0.0)
 
+    def test_gated_slopes_are_plus_zero_at_both_clamps(self):
+        """At |sigma| = SIGMA_MIN or SIGMA_MAX, of either sign, both width
+        slopes of `_gaussian` are +0.0 bit for bit: the gate writes them.
+        The closed form would give -0.0 at -SIGMA_MIN, where every m * sq
+        is zero (off the center line m underflows), and non-zero values at
+        SIGMA_MAX. Just inside SIGMA_MAX the slopes are that closed form."""
+        edge = np.array([masks.SIGMA_MIN, -masks.SIGMA_MIN, masks.SIGMA_MAX, -masks.SIGMA_MAX])
+        _, g1, g2 = masks._gaussian(edge, edge, 3, grad=True)
+        assert g1.tobytes() == g2.tobytes() == bytes(g1.nbytes)
+        inside = np.nextafter(np.array([masks.SIGMA_MAX, -masks.SIGMA_MAX]), 0.0)
+        m, g1, g2 = masks._gaussian(inside, inside, 3, grad=True)
+        sq, cube = (np.arange(3) - 1.0) ** 2, inside[:, None, None] ** 3
+        np.testing.assert_array_equal(g1, m * sq / cube)
+        np.testing.assert_array_equal(g2, m * sq[:, None] / cube)
+        assert np.all(g1[:, :, [0, 2]] != 0.0) and np.all(g2[:, [0, 2]] != 0.0)
+
     def test_odd_sign_in_sigma(self):
         _, g_pos = masks.circular_grad_values(2.0, 5)
         _, g_neg = masks.circular_grad_values(-2.0, 5)

@@ -4,12 +4,14 @@ import hashlib
 import os
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gmconv import tensor
 from gmconv.checkpoint import checkpoint_from_model, load_checkpoint, restore_model, save_checkpoint
 from gmconv.layers import PATTERNS, DynamicGMConvLayer, StaticGMConvLayer
 from gmconv.models import (
@@ -534,6 +536,15 @@ def model_specs(draw):
     return apply_policy(spec, policy)
 
 
+def draw_zero_parameters(model, rng):
+    """Biases and each block's conv2 start at zero: draw them, so every
+    parameter shapes the logits and a restore that skipped one would show."""
+    for _, t in model.named_parameters():
+        if not t.data.any():
+            scale = (1.0 / t.data[0].size) ** 0.5 if t.data.ndim > 1 else 0.1
+            t.data[...] = rng.normal(0.0, scale, size=t.data.shape)
+
+
 @given(spec=model_specs(), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_any_valid_spec_round_trips_counts_and_folds(spec, batch, seed):
     """Every drawn spec: its JSON round-trips exactly, `count_params` is
@@ -546,12 +557,7 @@ def test_any_valid_spec_round_trips_counts_and_folds(spec, batch, seed):
     model = Model(spec, rng)
     params = model.named_parameters()
     assert count_params(spec) == sum(t.data.size for _, t in params)
-    # biases and each block's conv2 start at zero: draw them, so every
-    # parameter shapes the logits and a restore that skipped one would show
-    for _, t in params:
-        if not t.data.any():
-            scale = (1.0 / t.data[0].size) ** 0.5 if t.data.ndim > 1 else 0.1
-            t.data[...] = rng.normal(0.0, scale, size=t.data.shape)
+    draw_zero_parameters(model, rng)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.ckpt")
         save_checkpoint(checkpoint_from_model(model), path)
@@ -565,3 +571,32 @@ def test_any_valid_spec_round_trips_counts_and_folds(spec, batch, seed):
     model.fold()
     assert not any(isinstance(m, StaticGMConvLayer) for _, m in model.masked_layer_items())
     assert model.forward(x).data.tobytes() == before.tobytes()
+
+
+@given(spec=model_specs(), batch=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_a_sample_gets_the_same_bits_alone_and_in_a_batch(spec, batch, seed):
+    """Every drawn spec: each sample's logits and input adjoint (a tape
+    with wrt = the input, seeded with that sample's row of one seed) are
+    bit-identical run alone and inside a batch, and again with every conv
+    cut into one-sample chunks. ERF maps read input adjoints off batches."""
+    rng = np.random.default_rng(seed)
+    model = Model(spec, rng)
+    draw_zero_parameters(model, rng)
+    x = rng.normal(size=(batch, *spec.input_shape))
+    out_seed = rng.normal(size=(batch, spec.num_classes))
+
+    def run(rows):
+        xt = Tensor(x[rows])
+        tape = GradTape(wrt=(xt,))
+        y = model.forward(xt, tape)
+        tape.backward(y, seed=out_seed[rows])
+        return y.data, xt.grad
+
+    alone = [run(slice(i, i + 1)) for i in range(batch)]
+    together = [run(slice(0, batch))]
+    with mock.patch.object(tensor, "_BLOCK_BYTES", 1):
+        together.append(run(slice(0, batch)))
+    for logits, dx in together:
+        for i, (want_logits, want_dx) in enumerate(alone):
+            assert logits[i : i + 1].tobytes() == want_logits.tobytes()
+            assert dx[i : i + 1].tobytes() == want_dx.tobytes()

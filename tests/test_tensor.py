@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gmconv import layers, tensor
@@ -307,6 +307,30 @@ def conv_arrays(case):
     return rng, x, w, m, b
 
 
+# `conv_cases` draws in the form (geometry, mask, bias, relu, seed), with
+# geometry (N, C, H, W, O, K, stride, padding); these pin the edges of the
+# phase-grid plan that random draws reach rarely or never
+CONV_EDGE_CASES = [
+    ((3, 2, 5, 6, 3, 1, 2, 0), "shared", True, False, 1),  # phases with no taps
+    ((2, 3, 1, 8, 2, 3, 3, 1), "per_sample", False, True, 2),  # phases with no input lines
+    ((3, 2, 4, 5, 2, 2, 1, 3), None, True, False, 3),  # padding beyond K - 1
+    ((2, 1, 5, 4, 3, 3, 2, 4), "per_sample", True, False, 4),  # and at stride 2
+    ((2, 3, 8, 8, 4, 4, 2, 0), "shared", False, False, 5),  # even K
+    ((2, 2, 9, 7, 3, 11, 2, 5), "per_sample", True, True, 6),  # alexnet-lite's stem
+    ((3, 2, 11, 10, 2, 5, 3, 2), None, False, False, 7),  # and its stride-3 geometry
+    ((3, 1, 7, 6, 3, 3, 2, 1), None, True, False, 8),  # one input channel
+    ((3, 1, 7, 6, 3, 3, 2, 1), "shared", False, True, 9),
+    ((3, 1, 7, 6, 3, 3, 2, 1), "per_sample", True, False, 10),
+]
+
+
+def conv_edge_examples(test):
+    for case in CONV_EDGE_CASES:
+        test = example(case)(test)
+    return test
+
+
+@conv_edge_examples
 @given(conv_cases(max_batch=5))
 def test_batch_chunks_change_no_value(case):
     """Forward and every (need_x, need_w, need_m, need_b) gradient are
@@ -342,6 +366,7 @@ def test_batch_chunks_change_no_value(case):
                 assert np.array_equal(value, expected)
 
 
+@conv_edge_examples
 @given(conv_cases())
 def test_random_conv_geometry_matches_the_oracle(case):
     """Forward against the direct loop to 1e-12: an unmasked kernel
@@ -642,6 +667,16 @@ class TestSoftmaxCrossEntropy:
 
         want = num_grad(loss_value, z.data, h=1e-6)
         np.testing.assert_allclose(z.grad, want, rtol=1e-8, atol=1e-10)
+
+    def test_backward_scales_with_its_seed(self):
+        """Seeded with 2.5, the logits' adjoint is (softmax - onehot) * 2.5 / N."""
+        rng = np.random.default_rng(4)
+        z, labels = Tensor(rng.normal(size=(5, 4))), np.array([0, 3, 1, 3, 2])
+        tape = GradTape()
+        tape.backward(softmax_cross_entropy(z, labels, tape), seed=np.float64(2.5))
+        p = np.exp(z.data) / np.exp(z.data).sum(axis=1, keepdims=True)
+        want = (p - np.eye(4)[labels]) * 2.5 / 5
+        np.testing.assert_allclose(z.grad, want, rtol=1e-12, atol=1e-15)
 
     def test_gradient_random_batch_fd(self):
         rng = np.random.default_rng(10)

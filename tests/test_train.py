@@ -28,6 +28,7 @@ from gmconv.train import (
     evaluate_model,
     load_config,
     metrics_to_csv,
+    sgd_step,
     split_source,
     train,
 )
@@ -131,6 +132,18 @@ class TestConfig:
         cfg = config_from_json('{"policy": {"stem_mode": "static", "sigma_init": 0.05}}')
         assert cfg.policy == ConvPolicy("static", "static", sigma_init=0.05)
 
+    @pytest.mark.parametrize("policy", [
+        '{"stem_mode": "bogus"}',
+        '{"stem_mode": "dynamic", "sigma_init": 0.05}',
+        '{"pattern": "x"}',
+        '{"sigma_init": "a"}',
+    ])
+    def test_policy_refusals_are_config_errors(self, policy):
+        """`ConvPolicy` refuses these with a ValueError; a config that holds
+        one fails to load with a ConfigError naming the policy."""
+        with pytest.raises(ConfigError, match="^policy: "):
+            config_from_json(f'{{"policy": {policy}}}')
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "none.json"))
@@ -196,6 +209,25 @@ class TestMetricsCsv:
     def test_no_sigma_columns_for_plain_model(self):
         text = metrics_to_csv([EpochMetrics(1, 1.0, 0.5, ())])
         assert text.startswith("epoch,train_loss,test_acc\n")
+
+
+class TestSgdStep:
+    def test_two_heavy_ball_steps_match_hand_values(self):
+        """lr 0.1, momentum 0.9, weight decay 0.01 on the weight only, the
+        same gradient twice. Step 1: buf = g + 0.01 w, w -= 0.1 buf. Step 2:
+        buf = 0.9 buf + g + 0.01 w. The bias is never decayed."""
+        w, b = Tensor([1.0, -2.0]), Tensor([0.5])
+        w.grad, b.grad = np.array([0.1, 0.2]), np.array([0.3])
+        params = [("layer0.weight", w), ("layer0.bias", b)]
+        buffers = {name: np.zeros_like(t.data) for name, t in params}
+        for _ in range(2):
+            sgd_step(params, buffers, {"layer0.weight"}, 0.1, 0.9, 0.01)
+        # step 1: buf_w = (0.11, 0.18), w = (0.989, -2.018); buf_b = 0.3, b = 0.47
+        # step 2: buf_w = (0.099 + 0.10989, 0.162 + 0.17982); buf_b = 0.27 + 0.3
+        np.testing.assert_allclose(buffers["layer0.weight"], [0.20889, 0.34182], rtol=1e-12)
+        np.testing.assert_allclose(w.data, [0.968111, -2.052182], rtol=1e-12)
+        np.testing.assert_allclose(buffers["layer0.bias"], [0.57], rtol=1e-12)
+        np.testing.assert_allclose(b.data, [0.413], rtol=1e-12)
 
 
 class TestNullUpdate:
@@ -434,6 +466,14 @@ class TestEvaluate:
         images = np.random.default_rng(0).normal(size=(40, 3, 16, 16))
         labels = model.predict(Tensor(images))
         assert evaluate_model(model, images, labels) == 1.0
+
+    def test_the_last_partial_batch_counts(self):
+        """7 images in batches of 3, labelled with the model's own
+        predictions: every sample is counted, the last batch's one too."""
+        model = tiny_eval_model()
+        images = np.random.default_rng(2).normal(size=(7, 3, 16, 16))
+        labels = model.predict(Tensor(images))
+        assert evaluate_model(model, images, labels, batch_size=3) == 1.0
 
     def test_random_predictor_near_chance(self):
         """Labels drawn independently of the model make every prediction a
