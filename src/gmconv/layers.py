@@ -6,12 +6,14 @@ Gradients reach sigma through the analytic mask derivative.
 
 A dynamic layer predicts per-sample widths (sigma1, sigma2) from a pooled
 descriptor of its own input through a small two-layer bottleneck, and
-each sample gets its own elliptic mask. Either masked layer is two tape
-ops: the mask op, which maps widths to masks (two 0-d widths give one
-K x K mask, two N-vectors give N x K x K masks), then ``conv2d`` with that
-mask as tap scales of the shared kernel. The mask op evaluates the slope
-view ``masks.elliptic_grad_batch``, which returns the masks too, only if
-the tape needs a width adjoint.
+each sample gets its own elliptic mask. A static layer is two tape ops:
+the mask op, which maps widths to masks (two 0-d widths give one K x K
+mask, two N-vectors give N x K x K masks), then ``conv2d`` with that mask
+as tap scales of the shared kernel. A dynamic layer puts one more op in
+front, the head ``_sigma_head``, which maps its input to the N x 2 widths
+in one record, and takes the widths' two columns for the mask op. The mask
+op evaluates the slope view ``masks.elliptic_grad_batch``, which returns
+the masks too, only if the tape needs a width adjoint.
 
 After training, a static layer's mask can be folded into the weights,
 yielding a plain convolution with identical outputs and zero mask cost.
@@ -24,21 +26,7 @@ import math
 import numpy as np
 
 from . import masks
-from .tensor import (
-    GradTape,
-    Tensor,
-    _result,
-    add,
-    check_kernel,
-    concat_cols,
-    conv2d,
-    dense,
-    global_pool,
-    mul,
-    relu,
-    softplus,
-    take_column,
-)
+from .tensor import GradTape, Tensor, _relu_adjoint, _result, check_kernel, conv2d, take_column
 
 PATTERNS = ("sigma", "sigma_pair", "sigma_ratio")
 
@@ -166,12 +154,62 @@ def fold_mask(layer: StaticGMConvLayer) -> Conv2dLayer:
                        layer.relu)
 
 
+def _sigma_head(x: Tensor, w0: Tensor, w1: Tensor, b1: Tensor, pattern: str,
+                tape: GradTape | None) -> Tensor:
+    """Tape op: the N x 2 widths (sigma1, sigma2) that the bottleneck w0,
+    w1, b1 predicts under `pattern` from the max+avg descriptor of the
+    N x C x H x W input x. Each step gives the bits its own op would: the
+    pools, `dense`'s stacked one-row products, relu, softplus plus G_FLOOR.
+    So a row does not depend on its batch-mates. The backward keeps only
+    N-sized values, and the N x C first argmax only when x needs its
+    adjoint: the avg share spread over each plane, plus the max share at
+    the argmax."""
+    n, c, h, w = x.data.shape
+    flat = x.data.reshape(n, c, h * w)
+    need = (False,) * 4 if tape is None else tuple(map(tape.needs, (x, w0, w1, b1)))
+    if need[0]:
+        idx = np.argmax(flat, axis=2)[:, :, None]
+        zmax = np.take_along_axis(flat, idx, axis=2)[:, :, 0]
+    else:
+        zmax = flat.max(axis=2)
+    z = np.concatenate([zmax, flat.mean(axis=2)], axis=1)
+    hid = np.maximum(np.matmul(z[:, None, :], w0.data.T)[:, 0], 0.0)
+    raw = np.matmul(hid[:, None, :], w1.data.T)[:, 0] + b1.data
+    g = np.logaddexp(0.0, raw) + G_FLOOR
+    first, last = g[:, 0], g[:, -1]
+    second = first if pattern == "sigma" else last if pattern == "sigma_pair" else first * last
+
+    def backward(dw: np.ndarray):
+        d1, d2 = dw[:, 0], dw[:, 1]
+        if pattern == "sigma":
+            dg = (d1 + d2)[:, None]
+        elif pattern == "sigma_pair":
+            dg = dw
+        else:
+            dg = np.stack([d1 + d2 * last, d2 * first], axis=1)
+        # softplus' slope is the logistic sigmoid, stable at both tails
+        draw = dg * np.exp(-np.logaddexp(0.0, -raw))
+        dhid = _relu_adjoint(np.matmul(draw[:, None, :], w1.data)[:, 0], hid)
+        dx = None
+        if need[0]:
+            dz = np.matmul(dhid[:, None, :], w0.data)[:, 0]
+            dx = np.repeat(dz[:, c:, None] / (h * w), h * w, axis=2)
+            np.put_along_axis(dx, idx, np.take_along_axis(dx, idx, axis=2) + dz[:, :c, None],
+                              axis=2)
+            dx = dx.reshape(n, c, h, w)
+        return (dx, dhid.T @ z if need[1] else None, draw.T @ hid if need[2] else None,
+                draw.sum(axis=0) if need[3] else None)
+
+    return _result(np.stack([first, second], axis=1), tape, (x, w0, w1, b1), backward)
+
+
 class DynamicSigmaModule:
     """Two-layer bottleneck that maps a pooled descriptor to mask widths.
 
     The descriptor z is the concatenation of global max and average pools,
     length 2C. The head is raw = W1 @ relu(W0 @ z) + B1 with hidden width
-    floor(2C / REDUCTION_RATIO). Three prediction patterns:
+    floor(2C / REDUCTION_RATIO). The whole head, descriptor to widths,
+    records as one tape op, ``_sigma_head``. Three prediction patterns:
 
     * "sigma": one output, sigma1 = sigma2 = g(raw[0])
     * "sigma_pair": sigma1 = g(raw[0]), sigma2 = g(raw[1])
@@ -213,29 +251,14 @@ class DynamicSigmaModule:
                 b1[1] = softplus_inverse(1.0 - G_FLOOR)
         self.b1 = Tensor(b1)
 
-    def descriptor(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
-        zmax = global_pool(x, "max", tape)
-        zavg = global_pool(x, "avg", tape)
-        return concat_cols(zmax, zavg, tape)
-
     def predict(self, x: Tensor, tape: GradTape | None = None) -> tuple[Tensor, Tensor]:
-        """Per-sample (sigma1, sigma2) as N-vectors, fully on the tape."""
-        if x.data.shape[1] != self.in_channels:
+        """Per-sample (sigma1, sigma2) as N-vectors: the head op's two columns."""
+        if x.data.ndim != 4 or x.data.shape[1] != self.in_channels:
             raise ValueError(
-                f"module built for {self.in_channels} channels, input has {x.data.shape[1]}"
+                f"module built for N x {self.in_channels} x H x W inputs, input has {x.data.shape}"
             )
-        z = self.descriptor(x, tape)
-        h = relu(dense(z, self.w0, None, tape), tape)
-        raw = dense(h, self.w1, self.b1, tape)
-        floor = Tensor(np.full(raw.data.shape, G_FLOOR))
-        widths = add(softplus(raw, tape), floor, tape)
-        first = take_column(widths, 0, tape)
-        if self.pattern == "sigma":
-            return first, first
-        second = take_column(widths, 1, tape)
-        if self.pattern == "sigma_pair":
-            return first, second
-        return first, mul(first, second, tape)
+        widths = _sigma_head(x, self.w0, self.w1, self.b1, self.pattern, tape)
+        return take_column(widths, 0, tape), take_column(widths, 1, tape)
 
     def param_items(self):
         return [("w0", self.w0), ("w1", self.w1), ("b1", self.b1)]

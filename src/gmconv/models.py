@@ -338,6 +338,14 @@ def _map_convs(spec: ModelSpec, fn) -> ModelSpec:
     return replace(spec, layers=tuple(rewrite(l) for l in spec.layers))
 
 
+def _as_op(layer: LayerSpec, op: str, **values) -> LayerSpec:
+    """`layer` as an `op` descriptor: each field `op` reads comes from
+    `values`, else from `layer`, and every other field holds its default,
+    so the descriptor equals its own JSON round trip."""
+    kept = {f: values.get(f, getattr(layer, f)) for f in _LAYER_FIELDS[op]}
+    return LayerSpec(op, layer.role, inner=layer.inner, **kept)
+
+
 def apply_policy(spec: ModelSpec, policy: ConvPolicy) -> ModelSpec:
     """Rewrite every stem/body convolution per the policy; head untouched.
 
@@ -349,12 +357,8 @@ def apply_policy(spec: ModelSpec, policy: ConvPolicy) -> ModelSpec:
         if layer.role == "head":
             return layer
         mode = policy.stem_mode if layer.role == "stem" else policy.body_mode
-        return replace(
-            layer,
-            op=_MODE_TO_OP[mode],
-            sigma_init=policy.sigma_init,
-            pattern=policy.pattern,
-        )
+        return _as_op(layer, _MODE_TO_OP[mode], sigma_init=policy.sigma_init,
+                      pattern=policy.pattern)
 
     return _map_convs(spec, rewrite)
 
@@ -582,7 +586,7 @@ class Model:
         for mod, put in static:
             put(fold_mask(mod))
         self.spec = _map_convs(
-            self.spec, lambda l: replace(l, op="conv") if l.op == "gmconv-static" else l
+            self.spec, lambda l: _as_op(l, "conv") if l.op == "gmconv-static" else l
         )
         return len(static)
 

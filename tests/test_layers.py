@@ -10,6 +10,7 @@ import pytest
 from gmconv import masks, tensor
 from gmconv.layers import (
     G_FLOOR,
+    PATTERNS,
     Conv2dLayer,
     DynamicGMConvLayer,
     DynamicSigmaModule,
@@ -21,9 +22,16 @@ from gmconv.models import ConvPolicy, LayerSpec, Model, apply_policy, build_mode
 from gmconv.tensor import (
     GradTape,
     Tensor,
+    add,
+    concat_cols,
     conv2d,
+    dense,
+    global_pool,
     mul,
+    relu,
     softmax_cross_entropy,
+    softplus,
+    take_column,
     tsum,
 )
 from util import conv2d_reference, num_grad
@@ -372,7 +380,40 @@ class TestDynamicForward:
         assert not np.allclose(ratios, 1.0)
 
 
+def composed_head(mod, x, tape):
+    """A sigma module's widths as the tensor ops its head op fuses, one
+    record each: pools, concat, dense, relu, dense, softplus, the floor,
+    then the pattern."""
+    z = concat_cols(global_pool(x, "max", tape), global_pool(x, "avg", tape), tape)
+    raw = dense(relu(dense(z, mod.w0, None, tape), tape), mod.w1, mod.b1, tape)
+    widths = add(softplus(raw, tape), Tensor(np.full(raw.data.shape, G_FLOOR)), tape)
+    first = take_column(widths, 0, tape)
+    if mod.pattern == "sigma":
+        return first, first
+    second = take_column(widths, 1, tape)
+    return (first, second) if mod.pattern == "sigma_pair" else (first, mul(first, second, tape))
+
+
 class TestDynamicGradients:
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_head_op_matches_the_ops_it_fuses(self, pattern):
+        """`predict`'s one head op gives the widths, the input's adjoint and
+        every parameter's adjoint of the composed ops. The input has tied
+        maxima, so the max share must go to the first argmax, as
+        `global_pool` routes it, and the avg share must be 1/(H*W)."""
+        rng = np.random.default_rng(16)
+        mod = DynamicSigmaModule(3, rng, pattern=pattern)
+        x = Tensor(rng.integers(-2, 3, size=(4, 3, 5, 5)).astype(np.float64))
+        seeds = [Tensor(r) for r in rng.normal(size=(2, 4))]
+        results = []
+        for head in (mod.predict, lambda x, tape: composed_head(mod, x, tape)):
+            tape = GradTape()
+            s1, s2 = head(x, tape)
+            tape.backward(tsum(add(mul(s1, seeds[0], tape), mul(s2, seeds[1], tape), tape), tape))
+            results.append([s1.data, s2.data, x.grad] + [t.grad for _, t in mod.param_items()])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("pattern", ["sigma", "sigma_pair", "sigma_ratio"])
     def test_all_params_match_finite_differences(self, pattern):
         rng = np.random.default_rng(12)

@@ -436,6 +436,31 @@ class TestRuntimeModel:
         for a in held.values():
             assert not np.array_equal(a, pre_conv1) and not np.array_equal(a, pre_sum)
 
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_a_dynamic_layer_tapes_three_records_more_than_a_static_one(self, pattern):
+        """A taped resnet20-slim (width 0.25, batch 2) forward and loss
+        under wrt=params: the all-dynamic net records the static net's 53
+        plus, for each of its 19 dynamic layers, the head op and the two
+        column takes, 110 in all. None of the ops the head fuses records
+        on its own, and the other records are the static net's, in order."""
+
+        def record_names(mode):
+            policy = ConvPolicy(mode, mode, pattern=pattern)
+            model = Model(apply_policy(build_model("resnet20-slim", 10, width=0.25), policy),
+                          np.random.default_rng(0))
+            tape = GradTape(wrt=[t for _, t in model.named_parameters()])
+            x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 32, 32)))
+            softmax_cross_entropy(model.forward(x, tape), np.array([0, 1]), tape)
+            return [fn.__qualname__.split(".<locals>")[0] for _, _, fn in tape.records]
+
+        static, dynamic = record_names("static"), record_names("dynamic")
+        assert (len(static), len(dynamic)) == (53, 110)
+        assert dynamic.count("_sigma_head") == 19 and dynamic.count("take_column") == 38
+        assert [n for n in dynamic if n not in ("_sigma_head", "take_column")] == static
+        # the classifier's avg pool is the one global_pool
+        assert not {"concat_cols", "softplus", "mul"} & set(dynamic)
+        assert dynamic.count("global_pool") == 1
+
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
     def test_taped_forward_live_bytes_stay_bounded(self, mode):
         """After a taped resnet20-slim forward (width 0.25, batch 32), the
@@ -547,12 +572,14 @@ def draw_zero_parameters(model, rng):
 
 @given(spec=model_specs(), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_any_valid_spec_round_trips_counts_and_folds(spec, batch, seed):
-    """Every drawn spec: its JSON round-trips exactly, `count_params` is
-    its model's parameter count, a saved and reloaded checkpoint restores
-    every parameter bit for bit, and folding keeps the logits bit for bit
-    and leaves no static masked conv."""
+    """Every drawn spec: its JSON round-trips exactly, as text and as a
+    value, `count_params` is its model's parameter count, a saved and
+    reloaded checkpoint restores every parameter bit for bit, and folding
+    keeps the logits bit for bit, leaves no static masked conv, and gives a
+    spec that equals its own JSON round trip."""
     text = spec_to_json(spec)
     assert spec_to_json(spec_from_json(text)) == text
+    assert spec_from_json(text) == spec
     rng = np.random.default_rng(seed)
     model = Model(spec, rng)
     params = model.named_parameters()
@@ -571,6 +598,29 @@ def test_any_valid_spec_round_trips_counts_and_folds(spec, batch, seed):
     model.fold()
     assert not any(isinstance(m, StaticGMConvLayer) for _, m in model.masked_layer_items())
     assert model.forward(x).data.tobytes() == before.tobytes()
+    assert spec_from_json(spec_to_json(model.spec)) == model.spec
+
+
+@given(spec=model_specs(), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_a_pruned_tape_gives_every_parameter_the_full_tapes_bits(spec, batch, seed):
+    """Every drawn spec: a training step's tape pruned to the parameters
+    (wrt=params) gives each parameter a finite `.grad` of its shape, bit
+    for bit the full tape's."""
+    rng = np.random.default_rng(seed)
+    model = Model(spec, rng)
+    draw_zero_parameters(model, rng)
+    params = [t for _, t in model.named_parameters()]
+    x = rng.normal(size=(batch, *spec.input_shape))
+    labels = rng.integers(0, spec.num_classes, size=batch)
+
+    def grads(tape):
+        tape.backward(softmax_cross_entropy(model.forward(Tensor(x), tape), labels, tape))
+        return [t.grad for t in params]
+
+    want = grads(GradTape())
+    for t, got, full in zip(params, grads(GradTape(wrt=params)), want):
+        assert isinstance(got, np.ndarray) and got.shape == t.data.shape
+        assert np.all(np.isfinite(got)) and got.tobytes() == full.tobytes()
 
 
 @given(spec=model_specs(), batch=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))

@@ -911,6 +911,30 @@ class TestActivity:
         for i in (1, 2, 3):
             np.testing.assert_array_equal(no_x[i], full[i])
 
+    @pytest.mark.parametrize("pattern", layers.PATTERNS)
+    def test_sigma_head_skips_what_is_not_needed(self, pattern):
+        """Under wrt=(x,) the head op returns no w0, w1 or b1 adjoint, and
+        x's adjoint is the full tape's bit for bit; with x a leaf outside
+        wrt, it returns no x adjoint and the others bit for bit."""
+        rng = np.random.default_rng(34)
+        arity = 1 if pattern == "sigma" else 2
+        x = Tensor(rng.normal(size=(3, 4, 5, 6)))
+        params = tuple(Tensor(rng.normal(size=shape)) for shape in ((6, 8), (arity, 6), arity))
+        g = rng.normal(size=(3, 2))
+
+        def adjoints(tape):
+            layers._sigma_head(x, *params, pattern, tape)
+            ((_, _, backward),) = tape.records
+            return backward(g)
+
+        full = adjoints(GradTape())
+        only_x = adjoints(GradTape(wrt=(x,)))
+        no_x = adjoints(GradTape(wrt=params))
+        assert only_x[1:] == (None, None, None) and no_x[0] is None
+        assert only_x[0].tobytes() == full[0].tobytes()
+        for i in (1, 2, 3):
+            assert no_x[i].tobytes() == full[i].tobytes()
+
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
     def test_train_step_grads_match_the_full_tape(self, mode):
         """One batch-8 step: every parameter adjoint is bit-identical with
@@ -966,6 +990,9 @@ def taped_calls():
         ("downsample_pad", None): lambda t: downsample_pad(x, 4, t),
         ("_per_sample_masked_weights", None): lambda t: layers._per_sample_masked_weights(
             s, s, 3, t),
+        ("_sigma_head", None): lambda t: layers._sigma_head(
+            x, Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(2, 4))),
+            Tensor(rng.normal(size=2)), "sigma_ratio", t),
     }
 
 
@@ -979,7 +1006,7 @@ NAMED_OPS = [
     for name in tensor.__all__
     if "tape" in inspect.signature(getattr(tensor, name)).parameters
     for mode in OP_MODES.get(name, (None,))
-] + [(layers, "_per_sample_masked_weights", None)]
+] + [(layers, "_per_sample_masked_weights", None), (layers, "_sigma_head", None)]
 
 
 each_named_op = pytest.mark.parametrize(
